@@ -6,7 +6,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/table.hpp"
@@ -50,12 +52,17 @@ inline void print_header(const char* what) {
 /// working directory, so perf claims (e.g. the batching speedup) are
 /// recorded per run and diffable across commits.  Keys are dot-joined
 /// plain identifiers ("alu.protest.batch_seconds") — no escaping needed.
+/// Optional string entries (the machine record) go to an "info" object.
 class BenchJson {
  public:
   explicit BenchJson(std::string name) : name_(std::move(name)) {}
 
   void metric(const std::string& key, double value) {
     metrics_.emplace_back(key, value);
+  }
+
+  void info(const std::string& key, const std::string& value) {
+    info_.emplace_back(key, value);
   }
 
   std::string path() const { return "BENCH_" + name_ + ".json"; }
@@ -67,8 +74,16 @@ class BenchJson {
       std::fprintf(stderr, "warning: cannot write %s\n", path().c_str());
       return false;
     }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"metrics\": {\n",
-                 name_.c_str());
+    std::fprintf(f, "{\n  \"bench\": \"%s\",\n", name_.c_str());
+    if (!info_.empty()) {
+      std::fprintf(f, "  \"info\": {\n");
+      for (std::size_t i = 0; i < info_.size(); ++i)
+        std::fprintf(f, "    \"%s\": \"%s\"%s\n", info_[i].first.c_str(),
+                     escaped(info_[i].second).c_str(),
+                     i + 1 < info_.size() ? "," : "");
+      std::fprintf(f, "  },\n");
+    }
+    std::fprintf(f, "  \"metrics\": {\n");
     for (std::size_t i = 0; i < metrics_.size(); ++i)
       std::fprintf(f, "    \"%s\": %.9g%s\n", metrics_[i].first.c_str(),
                    metrics_[i].second, i + 1 < metrics_.size() ? "," : "");
@@ -79,8 +94,75 @@ class BenchJson {
   }
 
  private:
+  static std::string escaped(const std::string& s) {
+    std::string out;
+    for (char c : s) {
+      if (c == '"' || c == '\\') out += '\\';
+      if (static_cast<unsigned char>(c) >= 0x20) out += c;
+    }
+    return out;
+  }
+
   std::string name_;
+  std::vector<std::pair<std::string, std::string>> info_;
   std::vector<std::pair<std::string, double>> metrics_;
 };
+
+#ifndef PROTEST_BUILD_TYPE
+#define PROTEST_BUILD_TYPE "unknown"
+#endif
+#ifndef PROTEST_SOURCE_DIR
+#define PROTEST_SOURCE_DIR "."
+#endif
+
+/// Commit id that HEAD of the git directory `git_dir` names, read from
+/// HEAD, the loose ref or packed-refs ("unknown" when none resolves).
+/// Uncommitted edits in the working tree are not reflected.
+inline std::string head_commit(const std::string& git_dir) {
+  std::ifstream head_file(git_dir + "/HEAD");
+  std::string head;
+  std::getline(head_file, head);
+  if (head.rfind("ref: ", 0) != 0) return head.empty() ? "unknown" : head;
+  const std::string ref = head.substr(5);
+  std::ifstream loose(git_dir + "/" + ref);
+  std::string id;
+  if (std::getline(loose, id) && !id.empty()) return id;
+  std::ifstream packed(git_dir + "/packed-refs");
+  for (std::string line; std::getline(packed, line);)
+    if (line.size() > ref.size() + 1 &&
+        line.compare(line.size() - ref.size(), ref.size(), ref) == 0 &&
+        line[line.size() - ref.size() - 1] == ' ')
+      return line.substr(0, line.size() - ref.size() - 1);
+  return "unknown";
+}
+
+/// Records the machine a run was measured on: hardware threads, CPU
+/// model, compiler, build type and the commit of the checkout the bench
+/// was built from.
+inline void record_machine(BenchJson& json) {
+  json.metric("hardware_threads",
+              static_cast<double>(std::thread::hardware_concurrency()));
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);)
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) {
+        cpu = line.substr(colon + 1);
+        cpu.erase(0, cpu.find_first_not_of(" \t"));
+      }
+      break;
+    }
+  json.info("cpu_model", cpu);
+#if defined(__clang__)
+  json.info("compiler", std::string("clang ") + __clang_version__);
+#elif defined(__GNUC__)
+  json.info("compiler", std::string("gcc ") + __VERSION__);
+#else
+  json.info("compiler", "unknown");
+#endif
+  json.info("build_type", PROTEST_BUILD_TYPE);
+  json.info("commit", head_commit(PROTEST_SOURCE_DIR "/.git"));
+}
 
 }  // namespace protest::bench

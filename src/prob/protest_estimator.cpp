@@ -3,69 +3,132 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <stdexcept>
 
+#include "netlist/compiled.hpp"
 #include "netlist/cone.hpp"
 #include "prob/naive.hpp"
 
 namespace protest {
 namespace {
 
-/// Re-propagates probabilities inside a cone with some nodes pinned to
-/// constants.  Reusable scratch state with epoch-based invalidation.
-class ConeProp {
+/// Conditional probabilities inside one gate's bounded fanin cone, on the
+/// compiled CSR, re-evaluating only what a pin can change.
+///
+/// walk() propagates the cone once with nothing pinned and records, per
+/// cone node, a reach mask: bit t is set when tracked node t reaches the
+/// node through the cone.  pin(t, v) then re-evaluates only tracked node
+/// t's in-cone fanout — the cone nodes whose mask has t's bit — logging the
+/// values it overwrites, and undo(mark) restores them.  Every other cone
+/// node keeps its value, and every re-evaluated node sees the same operands
+/// in the same order as a full re-propagation with the same pins would, so
+/// the results are bit-identical to one.  Pins may be stacked as long as no
+/// pinned node lies downstream of a later pin (pin in topological order).
+///
+/// Tracked nodes past the 63rd share the top mask bit: pinning one of them
+/// re-evaluates the union of those nodes' fanouts, a superset whose extra
+/// nodes are recomputed from unchanged operands to unchanged bits.  So any
+/// number of tracked nodes costs one mask word per node.
+class SparseConeProp {
  public:
-  explicit ConeProp(const Netlist& net)
-      : net_(net),
-        cond_(net.size(), 0.0),
-        cond_epoch_(net.size(), 0),
-        pin_(net.size(), 0.0),
-        pin_epoch_(net.size(), 0) {}
+  explicit SparseConeProp(const Netlist& net)
+      : cn_(net.compiled()),
+        val_(net.size(), 0.0),
+        mask_(net.size(), 0),
+        stamp_(net.size(), 0),
+        ins_(cn_.max_fanin()) {}
 
-  /// cone must be ascending (topological).  pins = (node, value 0/1).
-  /// base = unconditioned probabilities.  After the call, prob(n) returns
-  /// the conditional probability for cone members and base otherwise.
-  void run(std::span<const NodeId> cone,
-           std::span<const std::pair<NodeId, double>> pins,
-           std::span<const double> base) {
+  /// cone must be ascending (topological), tracked ascending.  base =
+  /// unconditioned probabilities, read for nodes outside the cone.
+  void walk(std::span<const NodeId> cone, std::span<const NodeId> tracked,
+            std::span<const double> base) {
     ++epoch_;
-    for (const auto& [n, v] : pins) {
-      pin_[n] = v;
-      pin_epoch_[n] = epoch_;
-    }
-    std::vector<double>& ins = ins_;
-    for (NodeId m : cone) {
-      double value;
-      if (pin_epoch_[m] == epoch_) {
-        value = pin_[m];
-      } else {
-        const Gate& g = net_.gate(m);
-        if (g.type == GateType::Input) {
-          value = base[m];
-        } else {
-          ins.clear();
-          for (NodeId f : g.fanin)
-            ins.push_back(cond_epoch_[f] == epoch_ ? cond_[f] : base[f]);
-          value = eval_gate_prob(g.type, ins);
-        }
+    cone_ = cone;
+    base_ = base;
+    log_.clear();
+    pos_.assign(tracked.size(), kOutside);
+    std::size_t t = 0;
+    for (std::size_t k = 0; k < cone.size(); ++k) {
+      const NodeId m = cone[k];
+      while (t < tracked.size() && tracked[t] < m) ++t;
+      std::uint64_t mask = 0;
+      if (t < tracked.size() && tracked[t] == m) {
+        pos_[t] = k;
+        mask = bit(t++);
       }
-      cond_[m] = value;
-      cond_epoch_[m] = epoch_;
+      for (NodeId f : cn_.fanin(m))
+        if (stamp_[f] == epoch_) mask |= mask_[f];
+      val_[m] = value_of(m);
+      mask_[m] = mask;
+      stamp_[m] = epoch_;
     }
   }
 
-  double prob(NodeId n, std::span<const double> base) const {
-    return cond_epoch_[n] == epoch_ ? cond_[n] : base[n];
+  /// Conditional probability of n under the current pins (base outside
+  /// the cone).
+  double prob(NodeId n) const {
+    return stamp_[n] == epoch_ ? val_[n] : base_[n];
+  }
+
+  /// Pins tracked node t to v and re-evaluates its in-cone fanout.  A
+  /// tracked node outside the cone changes nothing.
+  void pin(std::size_t t, double v) {
+    const std::size_t k0 = pos_[t];
+    if (k0 == kOutside) return;
+    set(cone_[k0], v);
+    const std::uint64_t b = bit(t);
+    for (std::size_t k = k0 + 1; k < cone_.size(); ++k) {
+      const NodeId m = cone_[k];
+      if (mask_[m] & b) set(m, value_of(m));
+    }
+  }
+
+  /// Undo-log position: undo(mark()) later restores the current values.
+  std::size_t mark() const { return log_.size(); }
+
+  void undo(std::size_t mark) {
+    while (log_.size() > mark) {
+      val_[log_.back().first] = log_.back().second;
+      log_.pop_back();
+    }
   }
 
  private:
-  const Netlist& net_;
-  std::vector<double> cond_;
-  std::vector<std::uint32_t> cond_epoch_;
-  std::vector<double> pin_;
-  std::vector<std::uint32_t> pin_epoch_;
+  static constexpr std::size_t kOutside = ~std::size_t{0};
+
+  static std::uint64_t bit(std::size_t t) {
+    return std::uint64_t{1} << std::min<std::size_t>(t, 63);
+  }
+
+  /// Value of cone node m from its fanins' current values — the in-cone
+  /// propagation step, with the float ops of eval_gate_prob.
+  double value_of(NodeId m) {
+    const GateType type = cn_.type(m);
+    if (type == GateType::Input) return base_[m];
+    const auto fanin = cn_.fanin(m);
+    for (std::size_t i = 0; i < fanin.size(); ++i) ins_[i] = prob(fanin[i]);
+    return eval_gate_prob(type, {ins_.data(), fanin.size()});
+  }
+
+  void set(NodeId m, double v) {
+    log_.emplace_back(m, val_[m]);
+    val_[m] = v;
+  }
+
+  const CompiledNetlist& cn_;
+  std::vector<double> val_;          ///< current value of cone nodes
+  std::vector<std::uint64_t> mask_;  ///< reach mask of cone nodes
+  /// Walk stamp: a node is in the current cone iff stamp_ == epoch_.
+  /// 64-bit: the estimator lives as long as its session, and a 32-bit
+  /// epoch would wrap and let stale stamps match again.
+  std::vector<std::uint64_t> stamp_;
+  std::uint64_t epoch_ = 0;
   std::vector<double> ins_;
-  std::uint32_t epoch_ = 0;
+  std::span<const NodeId> cone_;
+  std::span<const double> base_;
+  std::vector<std::size_t> pos_;  ///< tracked index -> cone index
+  std::vector<std::pair<NodeId, double>> log_;  ///< (node, old value)
 };
 
 /// Per-gate structural data: everything about case 4 of sect. 2 that does
@@ -91,11 +154,13 @@ struct GatePlan {
 /// and records W per gate; run(select = false) reuses the recorded W and
 /// only re-propagates the conditionals of formula (2); run_perturb()
 /// re-evaluates (with fresh selection) only the fanout cone of one
-/// changed input.
+/// changed input.  Each conditioned gate costs one unpinned walk of its
+/// cone per tuple; selection and formula (2) share it.
 class ProtestEstimator::Evaluator {
  public:
   Evaluator(const Netlist& net, const ProtestParams& params)
       : net_(net),
+        cn_(net.compiled()),
         params_(params),
         prop_(net),
         plan_index_(net.size(), -1),
@@ -192,99 +257,117 @@ class ProtestEstimator::Evaluator {
   /// `stats` when given).
   double eval_node(NodeId n, std::span<const double> p, bool select,
                    ProtestStats* stats) {
-    const Gate& g = net_.gate(n);
     // Cases 1-3 of sect. 2: no conditioning possible or necessary.
     auto naive_value = [&] {
       ins_.clear();
-      for (NodeId f : g.fanin) ins_.push_back(p[f]);
-      return eval_gate_prob(g.type, ins_);
+      for (NodeId f : cn_.fanin(n)) ins_.push_back(p[f]);
+      return eval_gate_prob(cn_.type(n), ins_);
     };
     const std::int32_t idx = plan_index_[n];
     if (idx < 0) return naive_value();
     GatePlan& plan = plans_[static_cast<std::size_t>(idx)];
-    if (select) select_w(plan, p);
-    if (plan.w.empty()) return naive_value();
+    if (select) {
+      select_w(plan, p);
+      if (plan.w.empty()) return naive_value();
+    } else {
+      if (plan.w.empty()) return naive_value();
+      prop_.walk(plan.cone, plan.w, p);
+      w_tracked_.resize(plan.w.size());
+      std::iota(w_tracked_.begin(), w_tracked_.end(), std::size_t{0});
+    }
     if (stats) {
       ++stats->gates_conditioned;
       stats->max_w = std::max(stats->max_w, plan.w.size());
     }
-    return conditioned_prob(plan, g, p);
+    return conditioned_prob(plan);
   }
 
   /// Scores the candidates with the covariance criterion — maximize
   /// p_x (1-p_x) * max_{i<=j} |Delta(a_i,x) Delta(a_j,x)| with Delta from
   /// one-point conditionals — and records the top MAXVERS as plan.w.
+  /// Leaves prop_ on the unpinned walk of the cone, tracking the
+  /// candidates, and w_tracked_ holding each w_j's tracked index.
   void select_w(GatePlan& plan, std::span<const double> p) {
-    const Gate& g = net_.gate(plan.node);
+    prop_.walk(plan.cone, plan.candidates, p);
+    const auto fanin = cn_.fanin(plan.node);
     plan.w.clear();
+    w_tracked_.clear();
     scored_.clear();
-    delta_.resize(g.fanin.size());
-    for (NodeId x : plan.candidates) {
-      const double px = p[x];
+    delta_.resize(fanin.size());
+    for (std::size_t c = 0; c < plan.candidates.size(); ++c) {
+      const double px = p[plan.candidates[c]];
       const double sx2 = px * (1.0 - px);
       if (sx2 <= params_.min_score) continue;
-      pins_.assign(1, {x, 1.0});
-      prop_.run(plan.cone, pins_, p);
-      for (std::size_t i = 0; i < g.fanin.size(); ++i)
-        delta_[i] = prop_.prob(g.fanin[i], p);
-      pins_.assign(1, {x, 0.0});
-      prop_.run(plan.cone, pins_, p);
-      for (std::size_t i = 0; i < g.fanin.size(); ++i)
-        delta_[i] -= prop_.prob(g.fanin[i], p);
+      const std::size_t mark = prop_.mark();
+      prop_.pin(c, 1.0);
+      for (std::size_t i = 0; i < fanin.size(); ++i)
+        delta_[i] = prop_.prob(fanin[i]);
+      prop_.undo(mark);
+      prop_.pin(c, 0.0);
+      for (std::size_t i = 0; i < fanin.size(); ++i)
+        delta_[i] -= prop_.prob(fanin[i]);
+      prop_.undo(mark);
       double best = 0.0;
-      for (std::size_t i = 0; i < g.fanin.size(); ++i)
-        for (std::size_t j = i; j < g.fanin.size(); ++j)
+      for (std::size_t i = 0; i < fanin.size(); ++i)
+        for (std::size_t j = i; j < fanin.size(); ++j)
           best = std::max(best, std::abs(delta_[i] * delta_[j]));
       const double score = sx2 * best;
-      if (score > params_.min_score) scored_.emplace_back(score, x);
+      if (score > params_.min_score) scored_.emplace_back(score, c);
     }
     if (scored_.empty()) return;
+    // Candidates are ascending, so the index tie-break is the node order.
     std::sort(scored_.begin(), scored_.end(),
               [](const auto& a, const auto& b) {
                 return a.first != b.first ? a.first > b.first
                                           : a.second < b.second;
               });
     for (std::size_t i = 0;
-         i < scored_.size() && plan.w.size() < params_.maxvers; ++i)
-      plan.w.push_back(scored_[i].second);
-    std::sort(plan.w.begin(), plan.w.end());  // topological, for the chain
+         i < scored_.size() && w_tracked_.size() < params_.maxvers; ++i)
+      w_tracked_.push_back(scored_[i].second);
+    // Topological, for the chain.
+    std::sort(w_tracked_.begin(), w_tracked_.end());
+    for (std::size_t c : w_tracked_) plan.w.push_back(plan.candidates[c]);
   }
 
   /// Formula (2): enumerate assignments of W depth-first so that each
   /// branching weight is the conditional P(w_j | w_1..w_{j-1}) read off
   /// the re-propagated cone — sharper than the independence product when
-  /// joining points feed each other.
-  double conditioned_prob(const GatePlan& plan, const Gate& g,
-                          std::span<const double> p) {
+  /// joining points feed each other.  Runs on prop_'s unpinned walk:
+  /// pinning w_j re-evaluates only its in-cone fanout and backtracking
+  /// undoes it.  W is ascending, so no pinned w_i is downstream of a later
+  /// pin.
+  double conditioned_prob(const GatePlan& plan) {
     const std::vector<NodeId>& w = plan.w;
+    const auto fanin = cn_.fanin(plan.node);
+    const GateType type = cn_.type(plan.node);
     double acc = 0.0;
-    ins_.resize(g.fanin.size());
+    ins_.resize(fanin.size());
     auto rec = [&](auto&& self, std::size_t j, double weight) -> void {
-      if (weight <= 0.0) return;
-      pins_.resize(j);
-      prop_.run(plan.cone, pins_, p);
       if (j == w.size()) {
-        for (std::size_t i = 0; i < g.fanin.size(); ++i)
-          ins_[i] = prop_.prob(g.fanin[i], p);
-        acc += weight * eval_gate_prob(g.type, ins_);
+        for (std::size_t i = 0; i < fanin.size(); ++i)
+          ins_[i] = prop_.prob(fanin[i]);
+        acc += weight * eval_gate_prob(type, ins_);
         return;
       }
-      const double q = std::clamp(prop_.prob(w[j], p), 0.0, 1.0);
-      pins_.emplace_back(w[j], 1.0);
-      self(self, j + 1, weight * q);
-      pins_.resize(j);
-      pins_.emplace_back(w[j], 0.0);
-      self(self, j + 1, weight * (1.0 - q));
-      pins_.resize(j);
+      const double q = std::clamp(prop_.prob(w[j]), 0.0, 1.0);
+      auto branch = [&](double value, double branch_weight) {
+        if (branch_weight <= 0.0) return;
+        const std::size_t mark = prop_.mark();
+        prop_.pin(w_tracked_[j], value);
+        self(self, j + 1, branch_weight);
+        prop_.undo(mark);
+      };
+      branch(1.0, weight * q);
+      branch(0.0, weight * (1.0 - q));
     };
-    pins_.clear();
     rec(rec, 0, 1.0);
     return std::clamp(acc, 0.0, 1.0);
   }
 
   const Netlist& net_;
+  const CompiledNetlist& cn_;
   const ProtestParams params_;  ///< by value: survives estimator moves
-  ConeProp prop_;
+  SparseConeProp prop_;
   std::vector<std::int32_t> plan_index_;  ///< node -> plans_ index or -1
   std::vector<GatePlan> plans_;
   InputFanoutCones fanout_cones_;  ///< incremental work lists
@@ -296,8 +379,9 @@ class ProtestEstimator::Evaluator {
   // per-tuple scratch
   std::vector<double> ins_;
   std::vector<double> delta_;
-  std::vector<std::pair<NodeId, double>> pins_;
-  std::vector<std::pair<double, NodeId>> scored_;
+  /// Tracked index in prop_ of each plan.w entry for the current walk.
+  std::vector<std::size_t> w_tracked_;
+  std::vector<std::pair<double, std::size_t>> scored_;  ///< (score, cand.)
 };
 
 ProtestEstimator::ProtestEstimator(const Netlist& net, ProtestParams params)

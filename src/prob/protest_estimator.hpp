@@ -5,11 +5,19 @@
 //
 //   p_k ~ sum over assignments A_v of W:  P(A_v) * f(P(a_1|A_v),...,P(a_n|A_v))
 //
-// Conditional probabilities P(a_i | A_v) are obtained by re-propagating the
-// (depth-bounded) fanin cone with the joining points pinned to constants.
+// Conditional probabilities P(a_i | A_v) are those of the (depth-bounded)
+// fanin cone propagated with the joining points pinned to constants.
 // P(A_v) is computed as a chain of the same conditionals in topological
 // order (exact relative to the in-cone propagation, sharper than the
 // independence product).
+//
+// The cone is not re-propagated per conditional.  One unpinned walk of it
+// per gate and tuple (on the compiled CSR) records which candidates reach
+// each cone node; pinning a joining point then re-evaluates only its
+// in-cone fanout, and formula (2) is enumerated depth-first over that one
+// state with an undo log.  Each re-evaluated node sees the operands of a
+// full re-propagation in the same order, so the results are bit-identical
+// to it.
 //
 // W is selected by the covariance criterion of the paper: maximize
 // |Cov(a,x) * Cov(b,x)| / S(p_x)^2, with covariances obtained from the

@@ -2,11 +2,18 @@
 // Monte-Carlo, cutting bounds (BDS84), and the PROTEST estimator (sect. 2).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
 #include <random>
+#include <string>
 
 #include "circuits/iscas.hpp"
 #include "circuits/random_circuit.hpp"
 #include "circuits/sn74181.hpp"
+#include "circuits/zoo.hpp"
+#include "netlist/bench_io.hpp"
+#include "netlist/cone.hpp"
 #include "netlist/builder.hpp"
 #include "prob/cutting.hpp"
 #include "prob/exact.hpp"
@@ -251,6 +258,162 @@ TEST(ProtestEstimator, RejectsBadInputs) {
   EXPECT_THROW(est.signal_probs(too_few), std::invalid_argument);
   const double out_of_range[] = {0.5, 0.5, 1.5, 0.5, 0.5};
   EXPECT_THROW(est.signal_probs(out_of_range), std::invalid_argument);
+}
+
+// --- golden bit-identity regression ----------------------------------------
+//
+// FNV-1a over the raw bits of every double the estimator returns through
+// each public entry point: signal_probs, stats(), signal_probs_batch of three
+// tuples, signal_probs_perturb in both modes, and a tuple holding a 0.0 and
+// a 1.0 input.  The expected hashes were recorded at commit a360e86, from
+// the Gate-struct ConeProp estimator that re-propagated the whole bounded
+// cone for every conditional, before the sparse CSR propagator replaced
+// it: they pin that the rewrite changed no bit of any output.  The hashes
+// assume IEEE binary64 arithmetic without FP contraction, which is what
+// the default x86-64 build does (no FMA).
+
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  void add(double d) { add(std::bit_cast<std::uint64_t>(d)); }
+  void add(std::span<const double> v) {
+    add(static_cast<std::uint64_t>(v.size()));
+    for (double d : v) add(d);
+  }
+  void add(const ProtestStats& s) {
+    add(static_cast<std::uint64_t>(s.gates_conditioned));
+    add(static_cast<std::uint64_t>(s.total_joining_points));
+    add(static_cast<std::uint64_t>(s.max_w));
+  }
+};
+
+/// Deterministic tuple without a library RNG (distributions differ across
+/// standard libraries): a golden-ratio walk over [0.05, 0.95].
+InputProbs golden_tuple(std::size_t k, double phase) {
+  InputProbs t(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const double u = static_cast<double>(i) * 0.6180339887498949 + phase;
+    t[i] = 0.05 + 0.9 * (u - static_cast<double>(static_cast<long>(u)));
+  }
+  return t;
+}
+
+std::uint64_t estimator_hash(const Netlist& net, const ProtestParams& params) {
+  const ProtestEstimator est(net, params);
+  const std::size_t k = net.inputs().size();
+  const InputProbs t0 = golden_tuple(k, 0.25);
+  const InputProbs t1 = golden_tuple(k, 0.5);
+  InputProbs edge = golden_tuple(k, 0.75);
+  edge[0] = 0.0;
+  if (k > 1) edge[k - 1] = 1.0;
+
+  Fnv1a h;
+  const std::vector<double> base = est.signal_probs(t0);
+  h.add(base);
+  h.add(est.stats());
+  const std::vector<InputProbs> batch = {t0, t1, edge};
+  for (const auto& v : est.signal_probs_batch(batch)) h.add(v);
+  h.add(est.stats());
+  const std::size_t idx = k / 2;
+  h.add(est.signal_probs_perturb(t0, base, idx, 0.3, PerturbMode::Exact));
+  h.add(est.signal_probs_perturb(t0, base, idx, 0.3,
+                                 PerturbMode::FrozenSelection));
+  h.add(est.signal_probs(edge));
+  h.add(est.stats());
+  return h.h;
+}
+
+struct GoldenParams {
+  const char* name;
+  ProtestParams params;
+};
+
+const GoldenParams kGoldenParams[] = {
+    {"default", ProtestParams{}},
+    {"narrow", ProtestParams{2, 6, 8}},
+    {"wide", ProtestParams{6, 20, 30}},
+};
+
+struct GoldenCase {
+  const char* circuit;  ///< zoo name, or "data:<file>" for tests/data
+  std::uint64_t hash[3];  ///< one per kGoldenParams entry
+};
+
+const GoldenCase kGoldenCases[] = {
+    {"c17", {0xca2b3f95c525f20eull, 0xca2b3f95c525f20eull, 0xca2b3f95c525f20eull}},
+    {"alu", {0xa315ad4ae32f5578ull, 0x86f0d26536df9203ull, 0xe0b29650d68512a6ull}},
+    {"mult", {0xddc8ed5500719131ull, 0xa05b5ed746c9aeadull, 0x2dd555efb7b735bcull}},
+    {"div", {0x61c9e824b4b2e17bull, 0x195cbf1c76ddf0b0ull, 0xf6c211243dec7bbeull}},
+    {"comp", {0x9dc5d2c1d385d7cdull, 0x022d4a88390e3e11ull, 0x4e93474582c095d6ull}},
+    {"sn7485", {0x9484d216bc4e8a2cull, 0x0cf40eeb1a38d287ull, 0xa54c76ca2ad8600bull}},
+    {"mult4", {0xd14aa2bd0038ded3ull, 0x5837fb83527e00c0ull, 0x59cbc50342ae422eull}},
+    {"mult8", {0xf487961fddcee625ull, 0xa2c0ce08f8b80a84ull, 0x0fe463bd21fd98fbull}},
+    {"mult12", {0xae311a71bd29a58aull, 0xbe227ecc637c9f6full, 0xa33886685a6832f3ull}},
+    {"mult16", {0x7634f8db53bdab9full, 0xef7ec7d8aa1a6e00ull, 0xfe86a2fe7f637d5full}},
+    {"div8", {0x1ad45ab712a627e3ull, 0x9a014e6a571ec5a8ull, 0x938f9859efbdb2e6ull}},
+    {"data:add74283.bench", {0x7d8295064bd137a8ull, 0x3da466cc951bff96ull, 0x8a96822cc7454eacull}},
+    {"data:alu74181.bench", {0xa315ad4ae32f5578ull, 0x86f0d26536df9203ull, 0xe0b29650d68512a6ull}},
+    {"data:c17.bench", {0xca2b3f95c525f20eull, 0xca2b3f95c525f20eull, 0xca2b3f95c525f20eull}},
+    {"data:cla74182.bench", {0xf86b66fdb2e992e1ull, 0xf86b66fdb2e992e1ull, 0xf86b66fdb2e992e1ull}},
+    {"data:par74280.bench", {0xcffa6bb8120a82daull, 0xcffa6bb8120a82daull, 0xcffa6bb8120a82daull}},
+};
+
+Netlist golden_circuit(const std::string& name) {
+  if (name.rfind("data:", 0) != 0) return make_circuit(name);
+  const char* data = std::getenv("PROTEST_DATA");
+  if (!data) throw std::runtime_error("PROTEST_DATA not set");
+  return read_bench_file(std::string(data) + "/" + name.substr(5));
+}
+
+TEST(ProtestGolden, BitIdenticalAcrossParamSets) {
+  for (const GoldenCase& c : kGoldenCases) {
+    const Netlist net = golden_circuit(c.circuit);
+    for (std::size_t i = 0; i < std::size(kGoldenParams); ++i) {
+      const std::uint64_t got = estimator_hash(net, kGoldenParams[i].params);
+      EXPECT_EQ(got, c.hash[i])
+          << c.circuit << " / " << kGoldenParams[i].name << ": got 0x"
+          << std::hex << got;
+    }
+  }
+}
+
+// More candidates than one 64-bit reach mask holds: unbounded cones
+// (maxlist 0) and max_candidates 100.  mult8 has gates with 289 candidate
+// joining points (trimmed to 100), which the test asserts so the case
+// cannot silently stop covering the wide path.
+TEST(ProtestGolden, WideCandidateLists) {
+  ProtestParams wide;
+  wide.maxlist = 0;
+  wide.max_candidates = 100;
+  const struct {
+    const char* circuit;
+    std::uint64_t hash;
+  } cases[] = {
+      {"c17", 0xca2b3f95c525f20eull},
+      {"alu", 0xa315ad4ae32f5578ull},
+      {"mult8", 0x7dbbf0fa036f47a1ull},
+  };
+  for (const auto& c : cases) {
+    const Netlist net = make_circuit(c.circuit);
+    const std::uint64_t got = estimator_hash(net, wide);
+    EXPECT_EQ(got, c.hash) << c.circuit << ": got 0x" << std::hex << got;
+  }
+
+  const Netlist mult8 = make_circuit("mult8");
+  ConeWorkspace ws(mult8);
+  std::size_t most = 0;
+  for (NodeId n = 0; n < mult8.size(); ++n) {
+    const Gate& g = mult8.gate(n);
+    if (g.type == GateType::Input || g.fanin.size() < 2) continue;
+    ws.compute(g.fanin, wide.maxlist);
+    most = std::max(most, ws.conditioning_points(n).size());
+  }
+  EXPECT_GT(std::min<std::size_t>(most, wide.max_candidates), 64u);
 }
 
 }  // namespace
