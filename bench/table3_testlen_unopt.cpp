@@ -35,14 +35,14 @@ int main() {
                "N(COMP) ours"});
   const double ds[2] = {1.0, 0.98};
   const double es[3] = {0.95, 0.98, 0.999};
+  const auto n_div = required_test_lengths(pf_div, ds, es);
+  const auto n_comp = required_test_lengths(pf_comp, ds, es);
   for (int di = 0; di < 2; ++di)
-    for (int ei = 0; ei < 3; ++ei) {
-      const std::uint64_t n_div = required_test_length(pf_div, ds[di], es[ei]);
-      const std::uint64_t n_comp = required_test_length(pf_comp, ds[di], es[ei]);
+    for (int ei = 0; ei < 3; ++ei)
       t.add_row({fmt(ds[di], 2), fmt(es[ei], 3), fmt_int(paper[di][ei][0]),
-                 bench::fmt_testlen(n_div), fmt_int(paper[di][ei][1]),
-                 bench::fmt_testlen(n_comp)});
-    }
+                 bench::fmt_testlen(n_div[di * 3 + ei]),
+                 fmt_int(paper[di][ei][1]),
+                 bench::fmt_testlen(n_comp[di * 3 + ei])});
   std::printf("%s", t.str().c_str());
   std::printf("\n(\"ours\" computed over estimated-detectable faults; the paper: "
               "\"these large pattern sets cause random pattern testing to "

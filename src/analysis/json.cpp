@@ -1,33 +1,51 @@
 #include "analysis/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 namespace protest {
 
-std::string JsonWriter::quote(std::string_view text) {
-  std::string out = "\"";
-  for (const char c : text) {
+namespace {
+
+/// Appends `text` JSON-escaped (without quotes): unescaped runs are
+/// copied in bulk, every control character < 0x20 is escaped.
+void append_escaped(std::string& out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xf]};
+        out.append(esc, sizeof esc);
+      }
     }
   }
+  out.append(text, run, text.size() - run);
+}
+
+void append_quoted(std::string& out, std::string_view text) {
   out += '"';
+  append_escaped(out, text);
+  out += '"';
+}
+
+}  // namespace
+
+std::string JsonWriter::quote(std::string_view text) {
+  std::string out;
+  append_quoted(out, text);
   return out;
 }
 
@@ -85,7 +103,7 @@ JsonWriter& JsonWriter::key(std::string_view k) {
   if (!first_in_scope_) out_ += ',';
   newline();
   first_in_scope_ = false;
-  out_ += quote(k);
+  append_quoted(out_, k);
   out_ += indent_ > 0 ? ": " : ":";
   after_key_ = true;
   return *this;
@@ -94,37 +112,52 @@ JsonWriter& JsonWriter::key(std::string_view k) {
 JsonWriter& JsonWriter::value(double v) {
   if (!std::isfinite(v)) return null();
   char buf[32];
+  char* const last = buf + sizeof buf;
+  char* end = buf;
   if (v == std::trunc(v) && std::abs(v) < 1e15) {
-    // Integral values print as integers, exactly matching write_uint /
-    // write_int output: parsing a writer-produced document (where the
-    // parser stores every number as double) and re-writing it must
-    // reproduce the original bytes.
-    std::snprintf(buf, sizeof buf, "%.0f", v);
+    // Integral values print as integers ("%.0f", "-0" included), exactly
+    // matching write_uint / write_int output: parsing a writer-produced
+    // document (where the parser stores every number as double) and
+    // re-writing it must reproduce the original bytes.
+    end = std::to_chars(buf, last, v, std::chars_format::fixed, 0).ptr;
   } else {
-    // Shortest representation that round-trips: try increasing precision.
-    for (int prec = 1; prec <= 17; ++prec) {
-      std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-      if (std::strtod(buf, nullptr) == v) break;
+    // The "%.*g" form at the smallest precision that reads back as v.  No
+    // precision below the shortest round-trip digit count can, so start
+    // there; the rounded digits at that precision can still miss v when
+    // the neighbouring gaps are asymmetric (powers of two), so confirm
+    // and step up.  17 digits always round-trip.
+    end = std::to_chars(buf, last, v, std::chars_format::scientific).ptr;
+    const char* digits = buf + (buf[0] == '-');
+    const auto* exp = static_cast<const char*>(
+        std::memchr(digits, 'e', static_cast<std::size_t>(end - digits)));
+    int prec = static_cast<int>(exp - digits);
+    if (prec > 1) --prec;  // the decimal point
+    for (;; ++prec) {
+      end = std::to_chars(buf, last, v, std::chars_format::general, prec).ptr;
+      double back = 0.0;
+      if (prec >= 17 || (std::from_chars(buf, end, back).ec == std::errc() &&
+                         back == v))
+        break;
     }
   }
   before_value();
-  out_ += buf;
+  out_.append(buf, end);
   return *this;
 }
 
 JsonWriter& JsonWriter::write_uint(unsigned long long v) {
   char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", v);
+  char* end = std::to_chars(buf, buf + sizeof buf, v).ptr;
   before_value();
-  out_ += buf;
+  out_.append(buf, end);
   return *this;
 }
 
 JsonWriter& JsonWriter::write_int(long long v) {
   char buf[24];
-  std::snprintf(buf, sizeof buf, "%lld", v);
+  char* end = std::to_chars(buf, buf + sizeof buf, v).ptr;
   before_value();
-  out_ += buf;
+  out_.append(buf, end);
   return *this;
 }
 
@@ -136,7 +169,7 @@ JsonWriter& JsonWriter::value(bool v) {
 
 JsonWriter& JsonWriter::value(std::string_view v) {
   before_value();
-  out_ += quote(v);
+  append_quoted(out_, v);
   return *this;
 }
 

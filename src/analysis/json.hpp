@@ -3,8 +3,9 @@
 // JsonWriter: streaming writer used by the session API's
 // AnalysisResult::to_json, the CLI's --json output, and the service
 // protocol.  Handles nesting, comma placement, indentation, string
-// escaping (every control character < 0x20), and shortest-round-trip
-// double formatting (non-finite doubles emit null).
+// escaping (every control character < 0x20), and double formatting:
+// integral values below 1e15 as integers, others in the shortest "%.*g"
+// form that round-trips, non-finite doubles as null.
 //
 // JsonValue / parse_json: a small recursive-descent reader producing an
 // ordered document tree — the decode side of the service wire format.

@@ -67,9 +67,12 @@ void write_report_impl(std::ostream& out, const Netlist& net,
 
   out << "\nrequired random-pattern counts:\n";
   TextTable t({"d", "e", "N"});
+  const std::vector<std::uint64_t> lengths =
+      required_test_lengths(detection_probs, opts.d_grid, opts.e_grid);
+  std::size_t i = 0;
   for (double d : opts.d_grid)
     for (double e : opts.e_grid) {
-      const std::uint64_t n = required_test_length(detection_probs, d, e);
+      const std::uint64_t n = lengths[i++];
       t.add_row({fmt(d, 2), fmt(e, 3),
                  n == kInfiniteTestLength ? "unreachable" : fmt_int(n)});
     }

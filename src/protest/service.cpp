@@ -7,6 +7,7 @@
 #include <deque>
 #include <functional>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <thread>
 
@@ -188,6 +189,27 @@ std::vector<double> to_number_list(const JsonValue& v) {
   return out;
 }
 
+/// to_uint() for an `unsigned` field: values that do not fit are
+/// rejected, never truncated.
+unsigned to_unsigned(const JsonValue& v) {
+  constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
+  const std::uint64_t u = to_uint(v);
+  if (u > kMax)
+    throw std::runtime_error("value exceeds " + std::to_string(kMax));
+  return static_cast<unsigned>(u);
+}
+
+/// A d_grid (every d in (0,1]) or e_grid (every e in (0,1)), checked at
+/// decode time so a bad grid fails before any evaluation runs.
+std::vector<double> to_grid(const JsonValue& v, bool one_allowed) {
+  std::vector<double> grid = to_number_list(v);
+  for (const double x : grid)
+    if (!(x > 0.0 && (one_allowed ? x <= 1.0 : x < 1.0)))
+      throw std::runtime_error(one_allowed ? "every d must be in (0,1]"
+                                           : "every e must be in (0,1)");
+  return grid;
+}
+
 AnalysisRequest artifacts_from_names(const JsonValue& list) {
   // Decodes through the artifact_name_table() shared with the CLI's
   // --artifacts parser, so the two surfaces can never drift apart.
@@ -327,9 +349,9 @@ ServiceRequest ServiceRequest::from_json_value(const JsonValue& doc) {
       } else if (key == "artifacts") {
         artifact_flags = artifacts_from_names(v);
       } else if (key == "d_grid") {
-        d_grid = to_number_list(v);
+        d_grid = to_grid(v, true);
       } else if (key == "e_grid") {
-        e_grid = to_number_list(v);
+        e_grid = to_grid(v, false);
       } else if (key == "input_index") {
         r.input_index = static_cast<std::size_t>(to_uint(v));
       } else if (key == "new_p") {
@@ -339,7 +361,7 @@ ServiceRequest ServiceRequest::from_json_value(const JsonValue& doc) {
       } else if (key == "n") {
         r.n_parameter = to_uint(v);
       } else if (key == "sweeps") {
-        r.sweeps = static_cast<unsigned>(to_uint(v));
+        r.sweeps = to_unsigned(v);
       } else if (key == "request") {
         r.subrequest = std::make_shared<ServiceRequest>(from_json_value(v));
       } else if (key == "job") {

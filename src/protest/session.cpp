@@ -335,13 +335,16 @@ std::string AnalysisResult::to_json(int indent) const {
   }
 
   if (request_.test_lengths) {
+    const std::vector<std::uint64_t> lengths = required_test_lengths(
+        detection_probs(), request_.d_grid, request_.e_grid);
     w.key("test_lengths").begin_array();
+    std::size_t i = 0;
     for (double d : request_.d_grid)
       for (double e : request_.e_grid) {
         w.begin_object();
         w.key("d").value(d);
         w.key("e").value(e);
-        const std::uint64_t n = test_length(d, e);
+        const std::uint64_t n = lengths[i++];
         if (n == kInfiniteTestLength)
           w.key("n").null();
         else

@@ -33,8 +33,18 @@ double expected_coverage(std::span<const double> detection_probs,
 std::vector<double> easiest_fraction(std::span<const double> detection_probs,
                                      double d);
 
-/// Smallest N with P_{F_d} >= e (the paper's Table 2/3/5 quantity).
-/// Returns kInfiniteTestLength when unreachable.
+/// Smallest N with P_{F_d} >= e (the paper's Table 2/3/5 quantity) for
+/// every (d, e) of the grid, row-major: element i * e_grid.size() + j is
+/// the (d_grid[i], e_grid[j]) point.  kInfiniteTestLength marks an
+/// unreachable point.  Every d must be in (0,1] and every e in (0,1);
+/// the whole grid is validated before any search runs.  The list is
+/// sorted once and each F_d is a prefix of it; the points of one d share
+/// their P_{F_d}(N) probes.
+std::vector<std::uint64_t> required_test_lengths(
+    std::span<const double> detection_probs, std::span<const double> d_grid,
+    std::span<const double> e_grid);
+
+/// The 1 x 1 grid: smallest N with P_{F_d} >= e.
 std::uint64_t required_test_length(std::span<const double> detection_probs,
                                    double d, double e);
 

@@ -2,8 +2,16 @@
 // the JSON layer (writer hardening + the recursive-descent reader).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "analysis/json.hpp"
 #include "analysis/stats.hpp"
@@ -141,6 +149,173 @@ TEST(JsonWriter, RawSplicesVerbatim) {
   w.key("result").raw("{\"p\":0.25}");
   w.end_object();
   EXPECT_EQ(w.str(), "{\"result\":{\"p\":0.25}}");
+}
+
+// --- number format differential ---------------------------------------------
+//
+// The writer's number format is part of the wire contract: integral
+// doubles below 1e15 print like integers, everything else in the shortest
+// "%.*g" form that reads back to the same double.  The oracle is the
+// writer's original formatter, kept here verbatim: probe snprintf at
+// precision 1..17 and keep the first string strtod reads back exactly.
+
+std::string oracle_double(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  if (v == std::trunc(v) && std::abs(v) < 1e15) {
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+  } else {
+    for (int prec = 1; prec <= 17; ++prec) {
+      std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+      if (std::strtod(buf, nullptr) == v) break;
+    }
+  }
+  return buf;
+}
+
+/// Checks `values` against the oracle byte for byte: one writer array per
+/// call, and on a mismatch the first differing value by its bits.
+void expect_oracle_format(const std::vector<double>& values) {
+  JsonWriter w(0);
+  w.begin_array();
+  std::string expected = "[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    w.value(values[i]);
+    if (i > 0) expected += ',';
+    expected += oracle_double(values[i]);
+  }
+  w.end_array();
+  expected += ']';
+  if (w.str() == expected) return;
+  for (const double v : values) {
+    JsonWriter one(0);
+    one.value(v);
+    ASSERT_EQ(one.str(), oracle_double(v))
+        << "bits 0x" << std::hex << std::bit_cast<std::uint64_t>(v);
+  }
+  FAIL() << "array output differs but no single value does";
+}
+
+/// v, its neighbours one ulp away, and the negations of all three.
+void add_with_neighbours(std::vector<double>& out, double v) {
+  for (const double x : {v, std::nextafter(v, 0.0),
+                         std::nextafter(v, std::numeric_limits<double>::infinity())}) {
+    out.push_back(x);
+    out.push_back(-x);
+  }
+}
+
+TEST(JsonNumberFormat, EdgeSetsMatchTheProbeLoop) {
+  std::vector<double> v;
+  for (int e = -1074; e <= 1023; ++e) add_with_neighbours(v, std::ldexp(1.0, e));
+  for (int e = -323; e <= 308; ++e) {
+    char text[16];
+    std::snprintf(text, sizeof text, "1e%d", e);
+    add_with_neighbours(v, std::strtod(text, nullptr));
+  }
+  for (const double x :
+       {DBL_TRUE_MIN, DBL_MIN, DBL_MAX, 1e15, 1e15 - 1, 1e15 + 1,
+        999999999999999.5, 1e15 - 0.25, 9007199254740992.0, 0.5, 0.1, 1.0,
+        1.0 / 3.0, 2.0 / 3.0, 1e-5, 1e-4, 1e16, 1e17, 123456789012345678.0})
+    add_with_neighbours(v, x);
+  v.push_back(0.0);
+  v.push_back(-0.0);
+  v.push_back(std::numeric_limits<double>::quiet_NaN());
+  v.push_back(std::numeric_limits<double>::infinity());
+  v.push_back(-std::numeric_limits<double>::infinity());
+  expect_oracle_format(v);
+  // Spot checks of the layout itself, so the oracle cannot drift unseen.
+  JsonWriter w(0);
+  w.begin_array();
+  for (const double x : {-0.0, 1e15 - 1, 1e15, 0.1, 1e-5, DBL_TRUE_MIN})
+    w.value(x);
+  w.end_array();
+  EXPECT_EQ(w.str(), "[-0,999999999999999,1e+15,0.1,1e-05,5e-324]");
+}
+
+TEST(JsonNumberFormat, SeededDoublesMatchTheProbeLoop) {
+  // The engine's output sequence is fixed by the standard (distributions
+  // are not), so values are derived from raw 64-bit draws.
+  std::mt19937_64 rng(20261017);
+  constexpr std::size_t kChunk = 4096;
+  constexpr std::size_t kChunks = 256;  // 1'048'576 values
+  std::vector<double> v;
+  v.reserve(kChunk);
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    v.clear();
+    for (std::size_t i = 0; i < kChunk; ++i) {
+      const std::uint64_t r = rng();
+      const double unit = static_cast<double>(r >> 11) * 0x1p-53;
+      switch (i % 5) {
+        case 0: v.push_back(unit); break;  // a probability
+        case 1: v.push_back(std::bit_cast<double>(r)); break;  // any bits
+        case 2: v.push_back(unit * unit * unit); break;  // product of three
+        case 3:  // a short decimal, k / 10^j
+          v.push_back(static_cast<double>(r % 100000) /
+                      std::pow(10.0, static_cast<double>((r >> 32) % 12)));
+          break;
+        default:  // log-uniform over the whole exponent range
+          v.push_back(std::ldexp(0.5 + unit / 2,
+                                 static_cast<int>((r >> 53) % 2098) - 1074));
+      }
+    }
+    expect_oracle_format(v);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(JsonNumberFormat, IntegerWritersMatchPrintf) {
+  std::mt19937_64 rng(7);
+  JsonWriter w(0);
+  std::string expected;
+  char buf[32];
+  auto add_u = [&](unsigned long long u) {
+    w.value(u);
+    std::snprintf(buf, sizeof buf, "%llu", u);
+    expected += buf;
+  };
+  auto add_i = [&](long long i) {
+    w.value(i);
+    std::snprintf(buf, sizeof buf, "%lld", i);
+    expected += buf;
+  };
+  w.begin_array();
+  expected = "[";
+  bool first = true;
+  auto sep = [&] {
+    if (!first) expected += ',';
+    first = false;
+  };
+  for (const unsigned long long u :
+       {0ull, 1ull, 9ull, 10ull, 99ull, 100ull, 4294967295ull, 4294967296ull,
+        std::numeric_limits<unsigned long long>::max()}) {
+    sep();
+    add_u(u);
+  }
+  for (const long long i :
+       {0ll, -1ll, 1ll, -10ll, std::numeric_limits<long long>::min(),
+        std::numeric_limits<long long>::max()}) {
+    sep();
+    add_i(i);
+  }
+  for (int k = 0; k < 10000; ++k) {
+    const std::uint64_t r = rng();
+    sep();
+    add_u(r >> (r % 64));
+    sep();
+    add_i(static_cast<long long>(r) >> (r % 64));
+  }
+  w.end_array();
+  expected += ']';
+  EXPECT_EQ(w.str(), expected);
+  // Narrow integer types take the same path.
+  JsonWriter small(0);
+  small.begin_array();
+  small.value(std::uint8_t{255});
+  small.value(std::int16_t{-32768});
+  small.value(std::size_t{42});
+  small.end_array();
+  EXPECT_EQ(small.str(), "[255,-32768,42]");
 }
 
 // --- JsonValue / parse_json -------------------------------------------------

@@ -7,7 +7,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -353,6 +356,87 @@ TEST(ServiceProtocol, OutOfRangeValuesYieldErrorsNotCrashes) {
         ServiceResponse::from_json(service.handle_line(line));
     EXPECT_FALSE(resp.ok) << line;
     EXPECT_EQ(resp.error_code, "bad_request") << line;
+  }
+}
+
+TEST(ServiceProtocol, OutOfRangeGridsFailAtDecodeTime) {
+  // A bad (d, e) grid is a bad_request before any evaluation runs: the
+  // session sees no analyze call and caches nothing.
+  ProtestService service;
+  service.handle_line(
+      "{\"verb\":\"load_netlist\",\"id\":1,\"netlist\":\"c\","
+      "\"circuit\":\"c17\"}");
+  const struct {
+    const char* line;
+    const char* member;
+  } cases[] = {
+      {"{\"verb\":\"analyze\",\"id\":2,\"netlist\":\"c\",\"p\":0.5,"
+       "\"d_grid\":[1,1.5]}",
+       "d_grid"},
+      {"{\"verb\":\"analyze\",\"id\":3,\"netlist\":\"c\",\"p\":0.5,"
+       "\"d_grid\":[0]}",
+       "d_grid"},
+      {"{\"verb\":\"analyze\",\"id\":4,\"netlist\":\"c\",\"p\":0.5,"
+       "\"d_grid\":[-0.5]}",
+       "d_grid"},
+      {"{\"verb\":\"analyze\",\"id\":5,\"netlist\":\"c\",\"p\":0.5,"
+       "\"e_grid\":[0.95,1]}",
+       "e_grid"},
+      {"{\"verb\":\"analyze\",\"id\":6,\"netlist\":\"c\",\"p\":0.5,"
+       "\"e_grid\":[0]}",
+       "e_grid"},
+      {"{\"verb\":\"submit\",\"id\":7,\"request\":{\"verb\":\"analyze\","
+       "\"id\":8,\"netlist\":\"c\",\"p\":0.5,\"e_grid\":[2]}}",
+       "e_grid"},
+  };
+  for (const auto& c : cases) {
+    const ServiceResponse resp =
+        ServiceResponse::from_json(service.handle_line(c.line));
+    EXPECT_FALSE(resp.ok) << c.line;
+    EXPECT_EQ(resp.error_code, "bad_request") << c.line;
+    EXPECT_NE(resp.error_message.find(c.member), std::string::npos)
+        << resp.error_message;
+  }
+  const JsonValue stats = parse_json(service.handle_line(
+      "{\"verb\":\"stats\",\"id\":9,\"netlist\":\"c\"}"));
+  EXPECT_EQ(stats.at("result").at("stats").at("analyze_calls").as_number(),
+            0.0)
+      << to_json(stats);
+  // The closed end of d and the open interior of e still decode.
+  const ServiceRequest ok = ServiceRequest::from_json(
+      "{\"verb\":\"analyze\",\"id\":10,\"netlist\":\"c\","
+      "\"d_grid\":[1,0.01],\"e_grid\":[1e-9,0.999999]}");
+  ASSERT_TRUE(ok.artifacts);
+  EXPECT_EQ(ok.artifacts->d_grid, (std::vector<double>{1, 0.01}));
+  EXPECT_EQ(ok.artifacts->e_grid, (std::vector<double>{1e-9, 0.999999}));
+}
+
+TEST(ServiceProtocol, SweepsBeyondUnsignedAreRejectedNotTruncated) {
+  const std::uint64_t max = std::numeric_limits<unsigned>::max();
+  const ServiceRequest at_max = ServiceRequest::from_json(
+      "{\"verb\":\"optimize\",\"id\":1,\"netlist\":\"c\",\"sweeps\":" +
+      std::to_string(max) + "}");
+  ASSERT_TRUE(at_max.sweeps);
+  EXPECT_EQ(*at_max.sweeps, max);
+  // 2^32 and 2^32 + 4 used to wrap to 0 and 4 sweeps.
+  for (const std::uint64_t wire : {max + 1, max + 5, std::uint64_t{1} << 53}) {
+    const std::string line =
+        "{\"verb\":\"optimize\",\"id\":2,\"netlist\":\"c\",\"sweeps\":" +
+        std::to_string(wire) + "}";
+    try {
+      ServiceRequest::from_json(line);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const ServiceError& e) {
+      EXPECT_EQ(e.code(), "bad_request") << line;
+      EXPECT_NE(std::string(e.what()).find("sweeps"), std::string::npos)
+          << e.what();
+    }
+    ProtestService service;
+    const ServiceResponse resp =
+        ServiceResponse::from_json(service.handle_line(line));
+    EXPECT_FALSE(resp.ok) << line;
+    EXPECT_EQ(resp.error_code, "bad_request") << line;
+    EXPECT_EQ(resp.id, 2u);
   }
 }
 

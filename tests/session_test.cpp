@@ -2,9 +2,14 @@
 // tuple cache, the incremental perturb() path, and JSON serialization.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <string>
+
 #include "analysis/json.hpp"
 #include "circuits/iscas.hpp"
 #include "circuits/zoo.hpp"
+#include "netlist/bench_io.hpp"
 #include "protest/session.hpp"
 
 namespace protest {
@@ -269,6 +274,120 @@ TEST(AnalysisSession, EngineMismatchIsRejected) {
   auto engine_on_b = make_engine("naive", b);
   EXPECT_THROW(AnalysisSession(a, std::move(engine_on_b), {}),
                std::invalid_argument);
+}
+
+// --- golden serialized bytes ------------------------------------------------
+//
+// FNV-1a over the exact bytes of AnalysisResult::to_json(0) for three
+// results per circuit: an analyze() with every artifact (observability,
+// detection probabilities clamped by fault_bounds, a (d, e) grid with
+// ties and unreachable points, SCOAP, STAFAN); a perturb() of it; and an
+// analyze() of a tuple holding a 0.0 and a 1.0 input with the default
+// grid and unclamped detection probabilities.  The expected hashes were
+// recorded at commit c87f2dd, with the snprintf/strtod double formatter
+// and the per-point test-length search, before either was rewritten:
+// they pin that the rewrite changed no byte of the served artifact.
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Deterministic tuple without a library RNG: a golden-ratio walk over
+/// [0.05, 0.95].
+InputProbs golden_tuple(std::size_t k, double phase) {
+  InputProbs t(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const double u = static_cast<double>(i) * 0.6180339887498949 + phase;
+    t[i] = 0.05 + 0.9 * (u - static_cast<double>(static_cast<long>(u)));
+  }
+  return t;
+}
+
+struct JsonGolden {
+  std::uint64_t full, perturbed, edge;
+};
+
+JsonGolden json_hashes(const Netlist& net) {
+  AnalysisSession session(net);
+  const std::size_t k = net.inputs().size();
+
+  AnalysisRequest everything = AnalysisRequest::everything();
+  everything.fault_bounds = true;
+  everything.d_grid = {1.0, 0.98, 0.9, 0.5, 0.01};
+  everything.e_grid = {0.5, 0.95, 0.98, 0.999, 0.999999};
+  const AnalysisResult full = session.analyze(golden_tuple(k, 0.25), everything);
+  const AnalysisResult perturbed = session.perturb(full, k / 2, 0.3);
+
+  AnalysisRequest grid;
+  grid.test_lengths = true;
+  InputProbs edge = golden_tuple(k, 0.75);
+  edge[0] = 0.0;
+  if (k > 1) edge[k - 1] = 1.0;
+  const AnalysisResult edged = session.analyze(edge, grid);
+
+  return {fnv1a(full.to_json(0)), fnv1a(perturbed.to_json(0)),
+          fnv1a(edged.to_json(0))};
+}
+
+Netlist golden_circuit(const std::string& name) {
+  if (name.rfind("data:", 0) != 0) return make_circuit(name);
+  const char* data = std::getenv("PROTEST_DATA");
+  if (!data) throw std::runtime_error("PROTEST_DATA not set");
+  return read_bench_file(std::string(data) + "/" + name.substr(5));
+}
+
+TEST(AnalysisJsonGolden, ByteIdenticalSerialization) {
+  const struct {
+    const char* circuit;  ///< zoo name, or "data:<file>" for tests/data
+    JsonGolden hash;
+  } cases[] = {
+      {"c17",
+       {0xfec65ff0b70d41ecull, 0xfa0688a9ad8184d6ull, 0xc63c6bfb4040d146ull}},
+      {"alu",
+       {0x7a59c7a4b72c132dull, 0x567a97fd776d2fd4ull, 0x6c2dde1ef62cd3a3ull}},
+      {"mult",
+       {0x3c930100ce785f3aull, 0x6bb23e019d22d6b3ull, 0x18fcaa25a942db01ull}},
+      {"div",
+       {0x10356b4fed6beaf3ull, 0x6676f2944ad4be6dull, 0x33837bca04f48656ull}},
+      {"comp",
+       {0xbb6bcf264b9d38f4ull, 0x03e3ac7a770af8daull, 0xe8625749e201c801ull}},
+      {"sn7485",
+       {0x23f1204ff251293full, 0x0ac69811407b0770ull, 0xde25af1c2252bbe7ull}},
+      {"mult4",
+       {0xc5a34ed52a2d470cull, 0x19853402e29aa459ull, 0xbe1380139c069d33ull}},
+      {"mult8",
+       {0x732e3ca4c7840cf8ull, 0xd0a672145771d537ull, 0x29d11455af3e123cull}},
+      {"mult12",
+       {0xde6cba61fc1e0f7bull, 0x5e45df2d6ce84e22ull, 0xa00ade0efbbd73a4ull}},
+      {"mult16",
+       {0xcc286e9dbdc00ac6ull, 0xbc296ba3b65d0a3eull, 0x4f26ac940a2ed263ull}},
+      {"div8",
+       {0x476851cc52d61001ull, 0xb834092d15d7724cull, 0x5946e639bd54c442ull}},
+      {"data:add74283.bench",
+       {0x9cfc25a42070d79aull, 0x5f0a15c61d186acaull, 0x577c7cf36f232312ull}},
+      {"data:alu74181.bench",
+       {0x7a59c7a4b72c132dull, 0x567a97fd776d2fd4ull, 0x6c2dde1ef62cd3a3ull}},
+      {"data:c17.bench",
+       {0xfec65ff0b70d41ecull, 0xfa0688a9ad8184d6ull, 0xc63c6bfb4040d146ull}},
+      {"data:cla74182.bench",
+       {0xcdc695b98d46a058ull, 0xa6f90a9da87347b8ull, 0xc28829516a9e1388ull}},
+      {"data:par74280.bench",
+       {0xa7816a0bd0b5ab88ull, 0x807f742af77d717cull, 0x3a3298f7ed61fac2ull}},
+  };
+  for (const auto& c : cases) {
+    const JsonGolden got = json_hashes(golden_circuit(c.circuit));
+    EXPECT_EQ(got.full, c.hash.full)
+        << c.circuit << " full: got 0x" << std::hex << got.full;
+    EXPECT_EQ(got.perturbed, c.hash.perturbed)
+        << c.circuit << " perturbed: got 0x" << std::hex << got.perturbed;
+    EXPECT_EQ(got.edge, c.hash.edge)
+        << c.circuit << " edge: got 0x" << std::hex << got.edge;
+  }
 }
 
 }  // namespace

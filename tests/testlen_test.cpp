@@ -1,7 +1,12 @@
 // Test length computation — formula (3) of sect. 5 and its inverse.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include "testlen/test_length.hpp"
 
@@ -104,6 +109,145 @@ TEST(TestLength, PaperScaleResistantFaults) {
   const std::uint64_t n = required_test_length(pf, 1.0, 0.95);
   EXPECT_GT(n, 10'000'000u);
   EXPECT_LT(n, 200'000'000u);
+}
+
+// --- grid differential -------------------------------------------------------
+//
+// The oracle is the original per-point search, kept here verbatim: sort
+// the list for every (d, e) point, take log1p(-p) in every probe, and
+// bracket + bisect from scratch.  required_test_lengths must return the
+// same N at every point.
+
+double oracle_log_term(double p, std::uint64_t n) {
+  if (p <= 0.0) return -std::numeric_limits<double>::infinity();
+  if (p >= 1.0) return 0.0;
+  const double miss_log = static_cast<double>(n) * std::log1p(-p);
+  if (miss_log < -745.0) return 0.0;
+  return std::log1p(-std::exp(miss_log));
+}
+
+double oracle_set_prob(const std::vector<double>& fd, std::uint64_t n) {
+  double acc = 0.0;
+  for (double p : fd) {
+    const double t = oracle_log_term(p, n);
+    if (t == -std::numeric_limits<double>::infinity()) return 0.0;
+    acc += t;
+  }
+  return std::exp(acc);
+}
+
+std::uint64_t oracle_length(const std::vector<double>& probs, double d,
+                            double e) {
+  std::vector<double> fd = probs;
+  std::sort(fd.begin(), fd.end(), std::greater<>{});
+  const std::size_t keep = std::max<std::size_t>(
+      1, static_cast<std::size_t>(
+             std::ceil(d * static_cast<double>(fd.size()) - 1e-9)));
+  fd.resize(std::min(keep, fd.size()));
+  if (fd.empty()) return 1;
+  if (fd.back() <= 0.0) return kInfiniteTestLength;
+  auto reaches = [&](std::uint64_t n) { return oracle_set_prob(fd, n) >= e; };
+  std::uint64_t hi = 1;
+  const std::uint64_t cap = std::uint64_t{1} << 62;
+  while (!reaches(hi)) {
+    if (hi >= cap) return kInfiniteTestLength;
+    hi *= 2;
+  }
+  std::uint64_t lo = hi / 2;
+  while (lo + 1 < hi) {
+    const std::uint64_t mid = lo + (hi - lo) / 2;
+    if (reaches(mid))
+      hi = mid;
+    else
+      lo = mid;
+  }
+  return hi;
+}
+
+void expect_grid_matches_oracle(const std::vector<double>& probs,
+                                const std::vector<double>& ds,
+                                const std::vector<double>& es) {
+  const std::vector<std::uint64_t> got = required_test_lengths(probs, ds, es);
+  ASSERT_EQ(got.size(), ds.size() * es.size());
+  for (std::size_t i = 0; i < ds.size(); ++i)
+    for (std::size_t j = 0; j < es.size(); ++j) {
+      const std::uint64_t want = oracle_length(probs, ds[i], es[j]);
+      EXPECT_EQ(got[i * es.size() + j], want)
+          << "d=" << ds[i] << " e=" << es[j] << " faults=" << probs.size();
+      EXPECT_EQ(required_test_length(probs, ds[i], es[j]), want);
+    }
+}
+
+const std::vector<double> kDefaultD = {1.0, 0.98};
+const std::vector<double> kDefaultE = {0.95, 0.98, 0.999};
+const std::vector<double> kWideD = {1.0, 0.999, 0.98, 0.9, 0.75, 0.6, 0.5,
+                                    0.25, 0.01};
+const std::vector<double> kWideE = {1e-9, 0.5, 0.9, 0.95, 0.98, 0.999,
+                                    0.999999, 1 - 1e-12};
+
+TEST(TestLengthGrid, EdgeProfilesMatchThePerPointSearch) {
+  const std::vector<std::vector<double>> profiles = {
+      {},                                   // empty list: N = 1
+      {0.0},                                // only undetectable
+      {1.0},                                // only certain
+      {1.0, 1.0, 0.5},                      // p = 1 terms are log(1)
+      {0.5, 0.0, 0.25, 0.0},                // p = 0 past the d cut
+      {0.5, 0.5, 0.5, 0.5, 0.1},            // ties at the d = 0.6 cut
+      {0.3, 0.3, 0.3, 0.3, 0.3, 0.3},       // all tied
+      {0.5, 1e-300},                        // tiny p: exp(n log1p(-p)) == 1
+      {0.9, DBL_TRUE_MIN, DBL_MIN},         // subnormal p
+      {0.5, 1e-17, 1e-16},                  // log1p(-p) == -p
+      {0.5, 0.25, 5.96e-8},                 // resistant (Table 3 scale)
+      {1.0 - 1e-16, 0.999999, 0.5},         // underflowing miss terms
+  };
+  for (const auto& probs : profiles) {
+    expect_grid_matches_oracle(probs, kDefaultD, kDefaultE);
+    expect_grid_matches_oracle(probs, kWideD, kWideE);
+  }
+  // Unreachable points come back as kInfiniteTestLength.
+  const std::vector<std::uint64_t> n =
+      required_test_lengths(std::vector<double>{0.5, 1e-300}, kDefaultD,
+                            kDefaultE);
+  EXPECT_EQ(n.front(), kInfiniteTestLength);
+}
+
+TEST(TestLengthGrid, SeededProfilesMatchThePerPointSearch) {
+  std::mt19937_64 rng(1985);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t faults = 1 + rng() % 300;
+    std::vector<double> probs(faults);
+    for (double& p : probs) {
+      const double u = static_cast<double>(rng() >> 11) * 0x1p-53;
+      switch (rng() % 6) {
+        case 0: p = 0.0; break;
+        case 1: p = 1.0; break;
+        case 2: p = std::ldexp(u, -static_cast<int>(rng() % 40)); break;
+        case 3: p = std::round(u * 8) / 8; break;  // ties
+        default: p = u;
+      }
+    }
+    // Most profiles keep their zeros beyond the d cut, some do not.
+    if (trial % 3 != 0)
+      std::replace(probs.begin(), probs.end(), 0.0, 0.125);
+    expect_grid_matches_oracle(probs, kDefaultD, kDefaultE);
+    expect_grid_matches_oracle(probs, kWideD, kWideE);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(TestLengthGrid, ValidatesTheWholeGridUpFront) {
+  const std::vector<double> pf = {0.5};
+  const std::vector<double> ok_d = {1.0}, ok_e = {0.95};
+  for (const double d : {0.0, -0.5, 1.5, std::nan("")}) {
+    const std::vector<double> ds = {1.0, d};
+    EXPECT_THROW(required_test_lengths(pf, ds, ok_e), std::invalid_argument);
+  }
+  for (const double e : {0.0, 1.0, -1.0, std::nan("")}) {
+    const std::vector<double> es = {0.95, e};
+    EXPECT_THROW(required_test_lengths(pf, ok_d, es), std::invalid_argument);
+  }
+  EXPECT_TRUE(required_test_lengths(pf, {}, ok_e).empty());
+  EXPECT_TRUE(required_test_lengths(pf, ok_d, {}).empty());
 }
 
 }  // namespace
