@@ -15,9 +15,18 @@
 // else, or a CountDetections estimate outside its static interval
 // (simulate_faults_pruned's built-in 6-sigma oracle).  Optional
 // --min-settled / --min-speedup floors serve as CI regression guards.
+//
+// Both fault-side layers partition the fault list across threads, so the
+// analysis and the pruned FirstDetection run are also timed serially (1
+// thread) and on every hardware thread; the two runs must agree bit for
+// bit, and --min-thread-speedup floors the threaded speed-up of each.  The
+// floor is skipped (and says so) on a machine with one hardware thread.
+// The machine record (hardware threads, CPU, compiler, build type,
+// commit) goes into the JSON next to the numbers.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "analysis/table.hpp"
@@ -37,6 +46,24 @@ double best_seconds(int reps, F&& f) {
   return best;
 }
 
+ParallelConfig threads_config(unsigned threads) {
+  ParallelConfig pc;
+  pc.num_threads = threads;
+  return pc;
+}
+
+bool same_analysis(const FaultAnalysis& a, const FaultAnalysis& b) {
+  if (a.bounds.size() != b.bounds.size() || a.undetectable != b.undetectable ||
+      a.detectable != b.detectable || a.uncertain != b.uncertain ||
+      a.frechet_widened != b.frechet_widened)
+    return false;
+  for (std::size_t i = 0; i < a.bounds.size(); ++i)
+    if (a.bounds[i].lo != b.bounds[i].lo || a.bounds[i].hi != b.bounds[i].hi ||
+        a.bounds[i].verdict != b.bounds[i].verdict)
+      return false;
+  return true;
+}
+
 }  // namespace
 }  // namespace protest
 
@@ -46,6 +73,7 @@ int main(int argc, char** argv) {
   bool quick = false;
   double min_settled = 0.0;
   double min_speedup = 0.0;
+  double min_thread_speedup = 0.0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
@@ -53,9 +81,13 @@ int main(int argc, char** argv) {
       min_settled = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--min-speedup") == 0 && i + 1 < argc) {
       min_speedup = std::atof(argv[++i]);
+    } else if (std::strcmp(argv[i], "--min-thread-speedup") == 0 &&
+               i + 1 < argc) {
+      min_thread_speedup = std::atof(argv[++i]);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--quick] [--min-settled X] [--min-speedup X]\n",
+                   "usage: %s [--quick] [--min-settled X] [--min-speedup X] "
+                   "[--min-thread-speedup X]\n",
                    argv[0]);
       return 2;
     }
@@ -64,6 +96,9 @@ int main(int argc, char** argv) {
   bench::print_header("static fault analysis: settlement and sim pruning");
   bench::BenchJson json("fault_static");
   json.metric("quick", quick ? 1.0 : 0.0);
+  bench::record_machine(json);
+  const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
+  json.metric("threads", threads);
 
   const std::size_t num_gates = quick ? 10'000 : 100'000;
   const Netlist net = make_random_circuit(stress_circuit_params(num_gates));
@@ -74,10 +109,20 @@ int main(int argc, char** argv) {
   json.metric("circuit.faults", static_cast<double>(faults.size()));
 
   // --- static settlement ----------------------------------------------------
-  FaultAnalysis fa;
-  const double t_analyze =
-      bench::time_seconds([&] { fa = analyze_faults(net, faults); });
-  json.metric("analyze.seconds", t_analyze);
+  FaultAnalysis fa, fa_serial;
+  FaultAnalyzeOptions serial_opts, threaded_opts;
+  serial_opts.parallel = threads_config(1);
+  threaded_opts.parallel = threads_config(threads);
+  const double t_analyze_serial = bench::time_seconds(
+      [&] { fa_serial = analyze_faults(net, faults, serial_opts); });
+  const double t_analyze = bench::time_seconds(
+      [&] { fa = analyze_faults(net, faults, threaded_opts); });
+  const double analyze_thread_speedup =
+      t_analyze > 0.0 ? t_analyze_serial / t_analyze : 0.0;
+  const bool analyze_identical = same_analysis(fa_serial, fa);
+  json.metric("analyze.serial_seconds", t_analyze_serial);
+  json.metric("analyze.threaded_seconds", t_analyze);
+  json.metric("analyze.thread_speedup", analyze_thread_speedup);
   json.metric("analyze.faults_per_sec",
               t_analyze > 0.0 ? static_cast<double>(faults.size()) / t_analyze
                               : 0.0);
@@ -106,8 +151,12 @@ int main(int argc, char** argv) {
                   frac(fa.detectable)});
   census.add_row({"uncertain", fmt_int(fa.uncertain), frac(fa.uncertain)});
   std::printf("%s", census.str().c_str());
-  std::printf("analysis: %.2fs, settled statically: %.1f %%\n", t_analyze,
-              100.0 * fa.settled_fraction());
+  std::printf(
+      "analysis: serial %.2fs, %u threads %.2fs (%.2fx, %s), settled "
+      "statically: %.1f %%\n",
+      t_analyze_serial, threads, t_analyze, analyze_thread_speedup,
+      analyze_identical ? "bit-identical" : "DIFFERENT",
+      100.0 * fa.settled_fraction());
 
   // --- fault-sim pruning ----------------------------------------------------
   const std::size_t num_patterns = quick ? 4096 : 16384;
@@ -115,23 +164,41 @@ int main(int argc, char** argv) {
   const PatternSet ps =
       PatternSet::random(net.inputs().size(), num_patterns, /*seed=*/1985);
   json.metric("fault_sim.patterns", static_cast<double>(num_patterns));
-  FaultSimResult plain, pruned;
+  // The pruning speed-up compares serial runs, so it measures the prune
+  // alone; the thread speed-up compares the pruned run serial vs threaded.
+  FaultSimResult plain, pruned, pruned_threaded;
+  const ParallelConfig serial = threads_config(1);
+  const ParallelConfig all = threads_config(threads);
   const double t_plain = best_seconds(reps, [&] {
-    plain = simulate_faults(net, faults, ps, FaultSimMode::FirstDetection);
+    plain =
+        simulate_faults(net, faults, ps, FaultSimMode::FirstDetection, serial);
   });
   const double t_pruned = best_seconds(reps, [&] {
-    pruned =
-        simulate_faults_pruned(net, faults, ps, FaultSimMode::FirstDetection, fa);
+    pruned = simulate_faults_pruned(net, faults, ps,
+                                    FaultSimMode::FirstDetection, fa, serial);
+  });
+  const double t_pruned_threaded = best_seconds(reps, [&] {
+    pruned_threaded = simulate_faults_pruned(
+        net, faults, ps, FaultSimMode::FirstDetection, fa, all);
   });
   const double speedup = t_pruned > 0.0 ? t_plain / t_pruned : 0.0;
+  const double sim_thread_speedup =
+      t_pruned_threaded > 0.0 ? t_pruned / t_pruned_threaded : 0.0;
+  const bool sim_identical =
+      pruned_threaded.first_detect == pruned.first_detect;
   json.metric("fault_sim.plain_seconds", t_plain);
   json.metric("fault_sim.pruned_seconds", t_pruned);
   json.metric("fault_sim.pruning_speedup", speedup);
+  json.metric("fault_sim.pruned_threaded_seconds", t_pruned_threaded);
+  json.metric("fault_sim.thread_speedup", sim_thread_speedup);
   json.metric("fault_sim.coverage", plain.coverage());
   std::printf(
-      "first-detection sim over %zu patterns: plain %.3fs, pruned %.3fs "
-      "(%.2fx), coverage %.3f\n",
+      "serial first-detection sim over %zu patterns: plain %.3fs, pruned "
+      "%.3fs (%.2fx), coverage %.3f\n",
       num_patterns, t_plain, t_pruned, speedup, plain.coverage());
+  std::printf("pruned sim: serial %.3fs, %u threads %.3fs (%.2fx, %s)\n",
+              t_pruned, threads, t_pruned_threaded, sim_thread_speedup,
+              sim_identical ? "bit-identical" : "DIFFERENT");
 
   // --- soundness gates ------------------------------------------------------
   // 1. The plain simulator must agree fault-by-fault: proven-undetectable
@@ -148,6 +215,8 @@ int main(int argc, char** argv) {
               static_cast<double>(contradicted));
   json.metric("soundness.first_detect_mismatches",
               static_cast<double>(mismatched));
+  json.metric("soundness.threads_identical",
+              analyze_identical && sim_identical ? 1.0 : 0.0);
 
   // 2. The 6-sigma interval oracle on a CountDetections run (a subset
   //    keeps the quadratic-ish count mode affordable at full size).
@@ -163,7 +232,7 @@ int main(int argc, char** argv) {
   std::string oracle_msg;
   try {
     simulate_faults_pruned(net, sub_faults, count_ps,
-                           FaultSimMode::CountDetections, sub_fa);
+                           FaultSimMode::CountDetections, sub_fa, all);
   } catch (const std::exception& e) {
     oracle_ok = false;
     oracle_msg = e.what();
@@ -188,6 +257,14 @@ int main(int argc, char** argv) {
                  mismatched);
     return 1;
   }
+  if (!analyze_identical || !sim_identical) {
+    std::fprintf(stderr,
+                 "FAIL: the %u-thread run differs from the serial run "
+                 "(analysis %s, pruned simulation %s)\n",
+                 threads, analyze_identical ? "same" : "differs",
+                 sim_identical ? "same" : "differs");
+    return 1;
+  }
   if (!oracle_ok) {
     std::fprintf(stderr, "FAIL: interval oracle: %s\n", oracle_msg.c_str());
     return 1;
@@ -201,6 +278,19 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: pruning speedup %.2fx below floor %.2fx\n",
                  speedup, min_speedup);
     return 1;
+  }
+  if (min_thread_speedup > 0.0) {
+    if (threads < 2) {
+      std::printf("thread-speedup floor skipped: one hardware thread\n");
+    } else if (analyze_thread_speedup < min_thread_speedup ||
+               sim_thread_speedup < min_thread_speedup) {
+      std::fprintf(stderr,
+                   "FAIL: %u-thread speed-up (analysis %.2fx, pruned sim "
+                   "%.2fx) below floor %.2fx\n",
+                   threads, analyze_thread_speedup, sim_thread_speedup,
+                   min_thread_speedup);
+      return 1;
+    }
   }
   return 0;
 }

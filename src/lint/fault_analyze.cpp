@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <queue>
+#include <functional>
+#include <optional>
 #include <stdexcept>
 
 #include "lint/fold.hpp"
 #include "lint/prob_bounds.hpp"
+#include "util/cancel.hpp"
+#include "util/executor.hpp"
 
 namespace protest {
 
@@ -63,7 +66,33 @@ Interval and_frechet(Interval a, Interval b) {
   return {std::max(0.0, a.lo + b.lo - 1.0), std::min(a.hi, b.hi)};
 }
 
-/// The whole per-netlist static context plus per-fault scratch state.
+struct Ev {
+  Interval iv;
+  std::uint64_t sig = 0;
+};
+
+/// Per-worker sweep scratch, epoch-stamped to avoid O(n) clears.  Each
+/// worker of analyze_faults owns one; nothing in it outlives a fault
+/// except the allocations and the widening tally of the current chunk.
+/// Workers' scratches sit side by side in one vector and their counters
+/// and heap ends change on every event, so each takes whole cache lines:
+/// sharing one would serialize the workers on it.
+struct alignas(64) SweepScratch {
+  explicit SweepScratch(std::size_t n)
+      : ev(n), ev_epoch(n, 0), queued_epoch(n, 0) {}
+
+  std::vector<Ev> ev;
+  std::vector<std::uint32_t> ev_epoch;
+  std::vector<std::uint32_t> queued_epoch;
+  std::uint32_t epoch = 0;
+  std::vector<NodeId> heap;     ///< min-heap on node id == topological order
+  std::vector<NodeId> drivers;  ///< distinct affected drivers of one gate
+  /// Fréchet/union widenings taken since the owner last reset it.
+  std::size_t frechet_widened = 0;
+};
+
+/// The per-netlist static context: built once, then read-only, so every
+/// worker shares it and analyzes its faults against its own SweepScratch.
 class Analyzer {
  public:
   Analyzer(const Netlist& net, const FaultAnalyzeOptions& opts)
@@ -111,17 +140,21 @@ class Analyzer {
       plain_reach_[id] = plain;
       obs_reach_[id] = obs;
     }
-
-    ev_.resize(n);
-    ev_epoch_.assign(n, 0);
-    queued_epoch_.assign(n, 0);
   }
 
   std::size_t learned_count() const { return learned_count_; }
-  std::size_t frechet_widened() const { return frechet_widened_; }
 
-  FaultBound analyze(const Fault& f) {
-    validate(f);
+  void validate(const Fault& f) const {
+    if (f.node >= net_.size())
+      throw std::invalid_argument("analyze_faults: fault node out of range");
+    if (!f.is_stem() &&
+        static_cast<std::size_t>(f.pin) >= net_.gate(f.node).fanin.size())
+      throw std::invalid_argument("analyze_faults: fault pin out of range");
+  }
+
+  /// Bounds one validated fault.  Reads only the shared context and
+  /// writes only `s`, so workers run it concurrently.
+  FaultBound analyze(const Fault& f, SweepScratch& s) const {
     const NodeId site =
         f.is_stem() ? f.node : net_.gate(f.node).fanin[f.pin];
 
@@ -150,7 +183,7 @@ class Analyzer {
         return undetectable(UndetectableCause::Unobservable);
     }
 
-    return sweep(f, site, exc, origin_free);
+    return sweep(f, site, exc, origin_free, s);
   }
 
  private:
@@ -158,22 +191,9 @@ class Analyzer {
     return {0.0, 0.0, FaultClass::ProvenUndetectable, cause, false};
   }
 
-  void validate(const Fault& f) const {
-    if (f.node >= net_.size())
-      throw std::invalid_argument("analyze_faults: fault node out of range");
-    if (!f.is_stem() &&
-        static_cast<std::size_t>(f.pin) >= net_.gate(f.node).fanin.size())
-      throw std::invalid_argument("analyze_faults: fault pin out of range");
-  }
-
-  struct Ev {
-    Interval iv;
-    std::uint64_t sig = 0;
-  };
-
   /// P(E and all unaffected side pins of `gate` sensitize pin `pin`):
   /// the exact event identity for a single affected fanin.
-  Ev combine_single(NodeId gate, int pin, Ev e) {
+  Ev combine_single(NodeId gate, int pin, Ev e, SweepScratch& s) const {
     const Gate& g = net_.gate(gate);
     const GateType t = g.type;
     if (t == GateType::Buf || t == GateType::Not || t == GateType::Xor ||
@@ -197,7 +217,7 @@ class Analyzer {
         sens.lo *= side.lo;
         sens.hi *= side.hi;
       } else {
-        ++frechet_widened_;
+        ++s.frechet_widened;
         sens = and_frechet(sens, side);
       }
       sens_sig |= sb_.sig[f];
@@ -206,7 +226,7 @@ class Analyzer {
     if ((e.sig & sens_sig) == 0) {
       out.iv = {e.iv.lo * sens.lo, e.iv.hi * sens.hi};
     } else {
-      ++frechet_widened_;
+      ++s.frechet_widened;
       out.iv = and_frechet(e.iv, sens);
     }
     out.iv = clamp01(out.iv);
@@ -214,29 +234,30 @@ class Analyzer {
     return out;
   }
 
-  void mark(NodeId n, Ev e, double& det_lo, double& det_hi_sum) {
-    ev_[n] = e;
-    ev_epoch_[n] = epoch_;
+  void mark(NodeId n, Ev e, double& det_lo, double& det_hi_sum,
+            SweepScratch& s) const {
+    s.ev[n] = e;
+    s.ev_epoch[n] = s.epoch;
     if (net_.is_output(n)) {
       det_lo = std::max(det_lo, e.iv.lo);
       det_hi_sum += e.iv.hi;
     }
   }
 
-  void push_consumers(NodeId n, std::priority_queue<NodeId, std::vector<NodeId>,
-                                                    std::greater<>>& heap) {
+  void push_consumers(NodeId n, SweepScratch& s) const {
     for (const NodeId c : net_.fanout(n)) {
-      if (queued_epoch_[c] != epoch_) {
-        queued_epoch_[c] = epoch_;
-        heap.push(c);
+      if (s.queued_epoch[c] != s.epoch) {
+        s.queued_epoch[c] = s.epoch;
+        s.heap.push_back(c);
+        std::push_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
       }
     }
   }
 
   FaultBound sweep(const Fault& f, NodeId site, Interval exc,
-                   bool origin_free) {
-    ++epoch_;
-    std::priority_queue<NodeId, std::vector<NodeId>, std::greater<>> heap;
+                   bool origin_free, SweepScratch& s) const {
+    ++s.epoch;
+    s.heap.clear();
     double det_lo = 0.0, det_hi_sum = 0.0;
 
     // Seed: the event at the origin.  stem_bit gives the origin variable a
@@ -244,21 +265,21 @@ class Analyzer {
     // (e.g. a learned-constant line).
     Ev origin{exc, sb_.sig[site] | stem_bit(site)};
     if (f.is_stem()) {
-      mark(f.node, origin, det_lo, det_hi_sum);
-      push_consumers(f.node, heap);
+      mark(f.node, origin, det_lo, det_hi_sum, s);
+      push_consumers(f.node, s);
     } else {
-      const Ev eg = combine_single(f.node, f.pin, origin);
+      const Ev eg = combine_single(f.node, f.pin, origin, s);
       if (eg.iv.hi <= 0.0) return undetectable(UndetectableCause::Unobservable);
-      mark(f.node, eg, det_lo, det_hi_sum);
-      push_consumers(f.node, heap);
+      mark(f.node, eg, det_lo, det_hi_sum, s);
+      push_consumers(f.node, s);
     }
 
     std::size_t visited = 0;
-    std::vector<NodeId> drivers;  // distinct affected drivers, reused
-    while (!heap.empty()) {
-      const NodeId c = heap.top();
-      heap.pop();
-      if (ev_epoch_[c] == epoch_) continue;  // seeded origin gate
+    while (!s.heap.empty()) {
+      std::pop_heap(s.heap.begin(), s.heap.end(), std::greater<>{});
+      const NodeId c = s.heap.back();
+      s.heap.pop_back();
+      if (s.ev_epoch[c] == s.epoch) continue;  // seeded origin gate
       // A fault at a robust-free origin can never flip a robust constant.
       if (origin_free && robust_[c] >= 0) continue;
       if (++visited > opts_.max_cone_nodes) {
@@ -275,39 +296,40 @@ class Analyzer {
       const Gate& g = net_.gate(c);
       int affected_pins = 0;
       int single_pin = -1;
-      drivers.clear();
+      s.drivers.clear();
       for (std::size_t k = 0; k < g.fanin.size(); ++k) {
         const NodeId d = g.fanin[k];
-        if (ev_epoch_[d] != epoch_) continue;
+        if (s.ev_epoch[d] != s.epoch) continue;
         ++affected_pins;
         single_pin = static_cast<int>(k);
-        if (std::find(drivers.begin(), drivers.end(), d) == drivers.end())
-          drivers.push_back(d);
+        if (std::find(s.drivers.begin(), s.drivers.end(), d) ==
+            s.drivers.end())
+          s.drivers.push_back(d);
       }
       if (affected_pins == 0) continue;
 
       Ev e;
       if (affected_pins == 1) {
-        e = combine_single(c, single_pin, ev_[drivers[0]]);
+        e = combine_single(c, single_pin, s.ev[s.drivers[0]], s);
       } else {
         // Several affected fanins (the fault effect reconverges): the
         // output can only differ if some affected driver differs — union
         // bound over the distinct drivers, lower bound 0 (effects may
         // cancel, e.g. XOR of a stem with itself).
-        ++frechet_widened_;
+        ++s.frechet_widened;
         double hi = 0.0;
         std::uint64_t sig = 0;
-        for (const NodeId d : drivers) {
-          hi += ev_[d].iv.hi;
-          sig |= ev_[d].sig;
+        for (const NodeId d : s.drivers) {
+          hi += s.ev[d].iv.hi;
+          sig |= s.ev[d].sig;
         }
         for (const NodeId d : g.fanin) sig |= sb_.sig[d];
         e.iv = clamp01({0.0, hi});
         e.sig = sig;
       }
       if (e.iv.hi <= 0.0) continue;  // provably never differs: cone pruned
-      mark(c, e, det_lo, det_hi_sum);
-      push_consumers(c, heap);
+      mark(c, e, det_lo, det_hi_sum, s);
+      push_consumers(c, s);
     }
 
     Interval det{det_lo, std::min({1.0, det_hi_sum, exc.hi})};
@@ -332,25 +354,44 @@ class Analyzer {
   std::vector<char> plain_reach_;
   std::vector<char> obs_reach_;
   std::size_t learned_count_ = 0;
-  std::size_t frechet_widened_ = 0;
-
-  // Per-fault sweep scratch, epoch-stamped to avoid O(n) clears.
-  std::vector<Ev> ev_;
-  std::vector<std::uint32_t> ev_epoch_;
-  std::vector<std::uint32_t> queued_epoch_;
-  std::uint32_t epoch_ = 0;
 };
+
+/// Faults per task of the parallel sweep: small enough to balance a few
+/// expensive cones across workers, large enough that claiming a task and
+/// the cancellation checkpoint cost nothing next to the sweeps.
+constexpr std::size_t kFaultChunk = 64;
 
 }  // namespace
 
 FaultAnalysis analyze_faults(const Netlist& net, std::span<const Fault> faults,
                              const FaultAnalyzeOptions& opts) {
-  Analyzer az(net, opts);
+  const Analyzer az(net, opts);
+  for (const Fault& f : faults) az.validate(f);
+
   FaultAnalysis out;
-  out.bounds.reserve(faults.size());
+  out.bounds.resize(faults.size());
   out.learned_constants = az.learned_count();
-  for (const Fault& f : faults) {
-    const FaultBound b = az.analyze(f);
+
+  // Every bound depends only on its own fault, and each chunk writes only
+  // its own slice of `bounds` and its own widening tally, so the result is
+  // the same for any thread count and any task schedule.
+  const std::size_t num_chunks =
+      (faults.size() + kFaultChunk - 1) / kFaultChunk;
+  std::vector<std::optional<SweepScratch>> scratch(opts.parallel.resolved());
+  std::vector<std::size_t> chunk_widened(num_chunks, 0);
+  run_tasks(opts.parallel, num_chunks, [&](std::size_t chunk, unsigned worker) {
+    check_cancelled();
+    std::optional<SweepScratch>& s = scratch[worker];
+    if (!s) s.emplace(net.size());
+    s->frechet_widened = 0;
+    const std::size_t end = std::min(faults.size(), (chunk + 1) * kFaultChunk);
+    for (std::size_t i = chunk * kFaultChunk; i < end; ++i)
+      out.bounds[i] = az.analyze(faults[i], *s);
+    chunk_widened[chunk] = s->frechet_widened;
+  });
+
+  // The census, reduced in fault order after the join.
+  for (const FaultBound& b : out.bounds) {
     switch (b.verdict) {
       case FaultClass::ProvenUndetectable:
         ++out.undetectable;
@@ -367,9 +408,8 @@ FaultAnalysis analyze_faults(const Netlist& net, std::span<const Fault> faults,
         break;
     }
     if (b.truncated) ++out.truncated_sweeps;
-    out.bounds.push_back(b);
   }
-  out.frechet_widened = az.frechet_widened();
+  for (const std::size_t w : chunk_widened) out.frechet_widened += w;
   return out;
 }
 

@@ -43,6 +43,14 @@
 //
 // Sweeps are budgeted per fault; a truncated sweep soundly falls back to
 // [0, excitation hi].
+//
+// Threading.  The constant lattices, the implication engine and the
+// signal-probability intervals are built once per call, serially; the
+// per-fault sweeps then run in fixed-size fault chunks on the executor of
+// FaultAnalyzeOptions::parallel, each worker with its own sweep scratch.
+// Every bound depends only on its own fault and the shared context, and
+// the census and frechet_widened are reduced in fault order after the
+// join, so the whole FaultAnalysis is bit-identical for any thread count.
 #pragma once
 
 #include <cstddef>
@@ -53,6 +61,7 @@
 #include "lint/implication.hpp"
 #include "prob/signal_prob.hpp"
 #include "sim/fault.hpp"
+#include "util/thread_pool.hpp"
 
 namespace protest {
 
@@ -93,6 +102,9 @@ struct FaultAnalyzeOptions {
   ImplicationOptions implication;
   /// Per-fault budget on nodes visited by the forward event sweep.
   std::size_t max_cone_nodes = 2048;
+  /// Workers for the per-fault sweeps (0 = all hardware threads).  The
+  /// result does not depend on it.
+  ParallelConfig parallel;
 };
 
 struct FaultAnalysis {
@@ -123,7 +135,9 @@ struct FaultAnalysis {
 
 /// Analyzes every fault in the list against the finalized netlist.
 /// Throws std::invalid_argument on an unfinalized netlist, a bad input
-/// tuple, or a fault referencing a nonexistent node/pin.
+/// tuple, or a fault referencing a nonexistent node/pin (checked for the
+/// whole list before any sweep runs).  A cancelled CancelScope stops it
+/// at the next fault chunk with OperationCancelled.
 FaultAnalysis analyze_faults(const Netlist& net, std::span<const Fault> faults,
                              const FaultAnalyzeOptions& opts = {});
 

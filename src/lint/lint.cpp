@@ -317,6 +317,7 @@ LintReport run_lint(const Netlist& net, const LintOptions& opts) {
     FaultAnalyzeOptions fo;
     fo.p = opts.p;
     fo.input_probs = opts.input_probs;
+    fo.parallel = opts.parallel;
     const FaultAnalysis fa = analyze_faults(net, faults, fo);
 
     if (enabled[kRedundantFault]) {

@@ -46,6 +46,7 @@
 
 #include "lint/prob_bounds.hpp"
 #include "netlist/netlist.hpp"
+#include "util/thread_pool.hpp"
 
 namespace protest {
 
@@ -93,6 +94,9 @@ struct LintOptions {
   /// untestable-fault) when `passes` is empty.  Naming a fault pass in
   /// `passes` explicitly runs it regardless.
   bool faults = false;
+  /// Workers for the fault-level passes' per-fault analysis (0 = all
+  /// hardware threads); the report does not depend on it.
+  ParallelConfig parallel;
   /// Per-pass diagnostic cap; excess findings are counted in the summary
   /// and acknowledged with one closing info diagnostic (never silent).
   std::size_t max_per_pass = 100;

@@ -260,19 +260,17 @@ Args parse_args(const std::vector<std::string>& argv) {
     if (a.json) throw UsageError("--json is not valid for 'simulate'");
     if (a.artifacts_set)
       throw UsageError("--artifacts is not valid for 'simulate'");
-    if (a.threads_set)
-      throw UsageError("--threads is not valid for 'simulate'");
   }
   if (a.artifacts_set && a.command == "optimize")
     throw UsageError("--artifacts is not valid for 'optimize'");
   // lint never runs an engine or the analysis pipeline; only --p (the
-  // prob-bounds input probability), --json, and --passes apply.
+  // prob-bounds input probability), --json, --passes, --faults and
+  // --threads (the fault passes' workers) apply.
   if (a.command == "lint") {
     if (a.engine_set)
       throw UsageError("--engine is not valid for 'lint' (the static "
                        "passes are engine-independent)");
     if (a.artifacts_set) throw UsageError("--artifacts is not valid for 'lint'");
-    if (a.threads_set) throw UsageError("--threads is not valid for 'lint'");
     for (const std::string& f : a.query_flags)
       if (f != "--p") throw UsageError(f + " is not valid for 'lint'");
     const auto known = lint_pass_names();
@@ -536,7 +534,9 @@ int cmd_optimize(const Args& a, std::ostream& out) {
 int cmd_simulate(const Args& a, std::ostream& out) {
   const Netlist net = load_netlist(a.file);
   print_circuit_summary(out, net);
-  const Protest tool(net);
+  ProtestOptions opts;
+  opts.parallel.num_threads = a.threads;
+  const Protest tool(net, opts);
   const PatternSet ps = tool.generate_patterns(
       uniform_input_probs(net, a.p), a.patterns, a.seed);
   const FaultSimResult res = tool.fault_simulate(ps, FaultSimMode::FirstDetection);
@@ -553,6 +553,7 @@ int cmd_lint(const Args& a, std::ostream& out) {
   opts.p = a.p;
   opts.passes = a.lint_passes;
   opts.faults = a.lint_faults;
+  opts.parallel.num_threads = a.threads;
   const LintReport report = run_lint(net, opts);
   if (a.json) {
     out << report.to_json() << "\n";
@@ -746,9 +747,11 @@ void print_help(std::ostream& out) {
          "  protest optimize <file> [--n N] [--sweeps S] [--d D] [--e E] "
          "[--engine E] [--json]\n"
          "                          [--threads T] [--deadline-ms MS]\n"
-         "  protest simulate <file> --patterns N [--p P] [--seed S]\n"
+         "  protest simulate <file> --patterns N [--p P] [--seed S] "
+         "[--threads T]\n"
          "  protest lint     <file> [--p P] [--passes LIST] [--faults] "
          "[--json]\n"
+         "                          [--threads T]\n"
          "  protest scan     <file> [--p P] [--d D] [--e E] [--engine E]\n"
          "                          [--json] [--artifacts LIST] [--threads T]\n"
          "                          [--deadline-ms MS]\n"
@@ -774,7 +777,8 @@ void print_help(std::ostream& out) {
          "--engine selects the signal-probability engine: protest (default),\n"
          "naive, exact-bdd, exact-enum, monte-carlo.\n"
          "--threads T sizes the worker pool (Monte-Carlo pattern shards,\n"
-         "optimize neighborhood sweeps); 0 = all hardware threads (default),\n"
+         "optimize neighborhood sweeps, fault simulation and the per-fault\n"
+         "analysis of lint --faults); 0 = all hardware threads (default),\n"
          "1 = serial.  Results are bit-identical for every thread count.\n"
          "--json emits the analysis result as JSON instead of text.\n"
          "--artifacts (with --json) is a comma list choosing what to\n"

@@ -72,7 +72,7 @@ PatternSet Protest::generate_patterns(std::span<const double> input_probs,
 
 FaultSimResult Protest::fault_simulate(const PatternSet& ps,
                                        FaultSimMode mode) const {
-  return simulate_faults(netlist(), faults(), ps, mode);
+  return simulate_faults(netlist(), faults(), ps, mode, options().parallel);
 }
 
 }  // namespace protest

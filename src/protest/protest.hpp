@@ -98,7 +98,8 @@ class Protest {
                                std::size_t num_patterns,
                                std::uint64_t seed) const;
 
-  /// Static fault simulation of the tool's fault list.
+  /// Static fault simulation of the tool's fault list, on
+  /// options().parallel's workers (the result does not depend on them).
   FaultSimResult fault_simulate(const PatternSet& ps, FaultSimMode mode) const;
 
  private:

@@ -552,9 +552,12 @@ bool submittable(ServiceVerb verb) {
 }
 
 /// Builds lint options from a request: pass subset + the prob-bounds
-/// input probability.  Unknown pass names surface as bad_request.
-LintOptions lint_options_from(const ServiceRequest& req) {
+/// input probability, with the fault passes on the server's shared
+/// executor.  Unknown pass names surface as bad_request.
+LintOptions lint_options_from(const ServiceRequest& req,
+                              std::shared_ptr<Executor> executor) {
   LintOptions opts;
+  opts.parallel.executor = std::move(executor);
   opts.passes = req.passes;
   opts.faults = req.faults;
   if (req.p) opts.p = *req.p;
@@ -607,7 +610,8 @@ std::string ProtestService::dispatch(const ServiceRequest& req) {
       // become resident.
       LintReport lint_report;
       if (req.strict) {
-        lint_report = run_lint(net, lint_options_from(req));
+        lint_report =
+            run_lint(net, lint_options_from(req, registry_.executor()));
         if (lint_report.errors > 0) {
           std::string first;
           for (const LintDiagnostic& d : lint_report.diagnostics) {
@@ -660,8 +664,8 @@ std::string ProtestService::dispatch(const ServiceRequest& req) {
       require_netlist_name(req);
       const std::shared_ptr<AnalysisSession> session =
           registry_.open(req.netlist);
-      const LintReport report =
-          run_lint(session->netlist(), lint_options_from(req));
+      const LintReport report = run_lint(
+          session->netlist(), lint_options_from(req, registry_.executor()));
       session->record_lint(report.errors, report.warnings, report.infos);
       JsonWriter w(0);
       w.begin_object();

@@ -235,6 +235,7 @@ const FaultAnalysis& AnalysisResult::fault_bounds() const {
   if (!s.fault_bounds) {
     FaultAnalyzeOptions fo;
     fo.input_probs = s.input_probs;
+    fo.parallel = s.shared->opts.parallel;
     s.fault_bounds = analyze_faults(s.shared->net, s.shared->faults, fo);
   }
   return *s.fault_bounds;

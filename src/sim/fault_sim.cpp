@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "netlist/compiled.hpp"
 #include "sim/logic_sim.hpp"
+#include "util/cancel.hpp"
+#include "util/executor.hpp"
 
 namespace protest {
 
@@ -50,14 +54,14 @@ class ConeSim {
         queued_epoch_(net.size(), 0) {}
 
   /// Word of faulty values at node n under the current epoch.
-  std::uint64_t value(NodeId n, const std::vector<std::uint64_t>& good) const {
+  std::uint64_t value(NodeId n, std::span<const std::uint64_t> good) const {
     return val_epoch_[n] == epoch_ ? fval_[n] : good[n];
   }
 
   /// Propagates a difference word injected at `site` with faulty word
   /// `site_value`; returns the OR over primary outputs of (good ^ faulty).
   std::uint64_t propagate(NodeId site, std::uint64_t site_value,
-                          const std::vector<std::uint64_t>& good) {
+                          std::span<const std::uint64_t> good) {
     ++epoch_;
     heap_.clear();
     fval_[site] = site_value;
@@ -95,20 +99,24 @@ class ConeSim {
   const Netlist& net_;
   const CompiledNetlist& cn_;
   std::vector<std::uint64_t> fval_;
-  std::vector<std::uint32_t> val_epoch_;
-  std::vector<std::uint32_t> queued_epoch_;
+  // The epoch advances once per (fault, block) propagation, so one call on
+  // a large netlist and pattern set can make more than 2^32 of them (5k
+  // gates at 2^24 patterns is ~10^10).  A 32-bit stamp would then wrap and
+  // match stale or never-written stamps, silently reading faulty values
+  // as 0; 64-bit stamps cannot wrap in practice.
+  std::vector<std::uint64_t> val_epoch_;
+  std::vector<std::uint64_t> queued_epoch_;
   std::vector<NodeId> heap_;  // min-heap on node id == topological order
   std::vector<std::uint64_t> ins_;
-  std::uint32_t epoch_ = 0;
+  std::uint64_t epoch_ = 0;
 };
 
 /// Faulty word at the fault site given the good values of the block.
-std::uint64_t site_value(const Netlist& net, const Fault& f,
-                         const std::vector<std::uint64_t>& good,
+std::uint64_t site_value(const CompiledNetlist& cn, const Fault& f,
+                         std::span<const std::uint64_t> good,
                          std::vector<std::uint64_t>& scratch) {
   const std::uint64_t forced = f.sa == StuckAt::One ? ~std::uint64_t{0} : 0;
   if (f.is_stem()) return forced;
-  const CompiledNetlist& cn = net.compiled();
   const std::span<const NodeId> fanin = cn.fanin(f.node);
   scratch.clear();
   for (std::size_t k = 0; k < fanin.size(); ++k)
@@ -116,27 +124,47 @@ std::uint64_t site_value(const Netlist& net, const Fault& f,
   return eval_gate_word(cn.type(f.node), scratch);
 }
 
-}  // namespace
+/// One worker's private simulation state, on cache lines of its own (its
+/// epoch and heap end change on every event; see SweepScratch in
+/// fault_analyze.cpp).
+struct alignas(64) SimWorker {
+  explicit SimWorker(const Netlist& net) : cone(net) {}
+  ConeSim cone;
+  std::vector<std::uint64_t> site_scratch;
+};
 
-namespace {
+/// Live faults per task of the parallel fault loop (see kFaultChunk in
+/// fault_analyze.cpp: same trade-off).
+constexpr std::size_t kFaultChunk = 64;
+/// Good-machine values kept per window, in 64-bit words: the window holds
+/// up to kMaxWindowBlocks blocks, fewer on netlists so large that this
+/// many words would not hold them all (at least one block always fits).
+constexpr std::size_t kWindowWords = std::size_t{1} << 20;
+constexpr std::size_t kMaxWindowBlocks = 64;
 
 /// Shared engine: `fa` non-null prunes proven-undetectable faults from the
 /// live list up front (their zero results are exact by proof).
+///
+/// Patterns advance in windows of blocks.  The good machine is simulated
+/// once per window into a read-only buffer; workers then claim chunks of
+/// the live fault list and run each fault through the window's blocks in
+/// order, writing only that fault's result slots.  FirstDetection drops a
+/// fault at its first detecting block; the live list is compacted between
+/// windows, in fault order.  Every result depends only on its own fault,
+/// so it is bit-identical for any thread count.
 FaultSimResult simulate_impl(const Netlist& net, std::span<const Fault> faults,
                              const PatternSet& ps, FaultSimMode mode,
-                             const FaultAnalysis* fa) {
+                             const FaultAnalysis* fa,
+                             const ParallelConfig& parallel) {
   if (!net.finalized())
     throw std::logic_error("simulate_faults: netlist must be finalized");
 
   FaultSimResult res;
   res.num_patterns = ps.num_patterns();
   res.first_detect.assign(faults.size(), -1);
-  if (mode == FaultSimMode::CountDetections)
-    res.detect_count.assign(faults.size(), 0);
+  const bool count = mode == FaultSimMode::CountDetections;
+  if (count) res.detect_count.assign(faults.size(), 0);
 
-  BlockSimulator good_sim(net);
-  ConeSim cone(net);
-  std::vector<std::uint64_t> scratch;
   std::vector<std::size_t> live;
   live.reserve(faults.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
@@ -145,29 +173,71 @@ FaultSimResult simulate_impl(const Netlist& net, std::span<const Fault> faults,
     live.push_back(i);
   }
 
-  for (std::size_t b = 0; b < ps.num_blocks(); ++b) {
-    const auto& good = good_sim.run(ps, b);
-    const std::uint64_t mask = ps.valid_mask(b);
-    std::size_t kept = 0;
-    for (std::size_t li = 0; li < live.size(); ++li) {
-      const std::size_t fi = live[li];
-      const Fault& f = faults[fi];
-      const std::uint64_t sv = site_value(net, f, good, scratch);
-      const std::uint64_t diff = (sv ^ good[f.node]) & mask;
-      std::uint64_t det = 0;
-      if (diff != 0) det = cone.propagate(f.node, sv, good) & mask;
-      if (det != 0 && res.first_detect[fi] < 0)
-        res.first_detect[fi] =
-            static_cast<std::int64_t>(b * 64 + std::countr_zero(det));
-      if (mode == FaultSimMode::CountDetections) {
-        res.detect_count[fi] += static_cast<std::uint64_t>(std::popcount(det));
-        live[kept++] = fi;
-      } else {
-        if (det == 0) live[kept++] = fi;  // drop detected faults
-      }
+  const CompiledNetlist& cn = net.compiled();
+  const std::size_t nodes = net.size();
+  const std::size_t window =
+      std::clamp<std::size_t>(kWindowWords / std::max<std::size_t>(nodes, 1),
+                              1, kMaxWindowBlocks);
+  // One executor for every window; its pool is spawned on the first
+  // window with more than one chunk, never for a serial config.
+  ParallelConfig par = parallel;
+  par.executor = make_executor(parallel);
+  BlockSimulator good_sim(net);
+  std::vector<std::uint64_t> good;  // window blocks, one node vector each
+  std::vector<char> dropped;        // parallel to `live`, FirstDetection
+  std::vector<std::optional<SimWorker>> workers(par.resolved());
+
+  for (std::size_t b0 = 0; b0 < ps.num_blocks() && !live.empty();
+       b0 += window) {
+    const std::size_t nb = std::min(window, ps.num_blocks() - b0);
+    good.resize(nb * nodes);
+    for (std::size_t k = 0; k < nb; ++k) {
+      const std::vector<std::uint64_t>& v = good_sim.run(ps, b0 + k);
+      std::copy(v.begin(), v.end(),
+                good.begin() + static_cast<std::ptrdiff_t>(k * nodes));
     }
-    live.resize(kept);
-    if (live.empty()) break;
+
+    const std::size_t num_chunks =
+        (live.size() + kFaultChunk - 1) / kFaultChunk;
+    dropped.assign(live.size(), 0);
+    run_tasks(par, num_chunks, [&](std::size_t chunk, unsigned w) {
+      check_cancelled();
+      if (!workers[w]) workers[w].emplace(net);
+      SimWorker& sw = *workers[w];
+      const std::size_t end = std::min(live.size(), (chunk + 1) * kFaultChunk);
+      for (std::size_t li = chunk * kFaultChunk; li < end; ++li) {
+        const std::size_t fi = live[li];
+        const Fault& f = faults[fi];
+        for (std::size_t k = 0; k < nb; ++k) {
+          const std::span<const std::uint64_t> g(good.data() + k * nodes,
+                                                 nodes);
+          const std::size_t b = b0 + k;
+          const std::uint64_t mask = ps.valid_mask(b);
+          const std::uint64_t sv = site_value(cn, f, g, sw.site_scratch);
+          const std::uint64_t diff = (sv ^ g[f.node]) & mask;
+          std::uint64_t det = 0;
+          if (diff != 0) det = sw.cone.propagate(f.node, sv, g) & mask;
+          if (det == 0) continue;
+          if (res.first_detect[fi] < 0)
+            res.first_detect[fi] =
+                static_cast<std::int64_t>(b * 64 + std::countr_zero(det));
+          if (count) {
+            res.detect_count[fi] +=
+                static_cast<std::uint64_t>(std::popcount(det));
+          } else {
+            dropped[li] = 1;  // fault dropping: first detection suffices
+            break;
+          }
+        }
+      }
+    });
+
+    if (!count) {
+      std::size_t kept = 0;
+      for (std::size_t li = 0; li < live.size(); ++li)
+        if (!dropped[li]) live[kept++] = live[li];
+      live.resize(kept);
+    }
   }
   return res;
 }
@@ -176,18 +246,20 @@ FaultSimResult simulate_impl(const Netlist& net, std::span<const Fault> faults,
 
 FaultSimResult simulate_faults(const Netlist& net,
                                std::span<const Fault> faults,
-                               const PatternSet& ps, FaultSimMode mode) {
-  return simulate_impl(net, faults, ps, mode, nullptr);
+                               const PatternSet& ps, FaultSimMode mode,
+                               const ParallelConfig& parallel) {
+  return simulate_impl(net, faults, ps, mode, nullptr, parallel);
 }
 
 FaultSimResult simulate_faults_pruned(const Netlist& net,
                                       std::span<const Fault> faults,
                                       const PatternSet& ps, FaultSimMode mode,
-                                      const FaultAnalysis& fa) {
+                                      const FaultAnalysis& fa,
+                                      const ParallelConfig& parallel) {
   if (fa.bounds.size() != faults.size())
     throw std::invalid_argument(
         "simulate_faults_pruned: fault list and analysis size mismatch");
-  FaultSimResult res = simulate_impl(net, faults, ps, mode, &fa);
+  FaultSimResult res = simulate_impl(net, faults, ps, mode, &fa, parallel);
 
   // The static intervals are sound by construction, so an empirical
   // detection probability beyond worst-case sampling noise is proof of a

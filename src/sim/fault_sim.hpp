@@ -8,6 +8,16 @@
 //   FirstDetection   — records the first detecting pattern index and drops
 //                      the fault (fault dropping), for coverage-vs-length
 //                      curves (Table 6) and test-set validation (Table 2).
+//
+// Threading.  Patterns advance in windows of 64-pattern blocks; the good
+// machine is simulated once per window and shared read-only, and the live
+// fault list is split into fixed-size chunks that the workers of the
+// trailing ParallelConfig (0 = all hardware threads) simulate through the
+// window, each with its own cone state.  Every per-fault result depends
+// only on its own fault and the patterns, so detect_count and first_detect
+// are bit-identical for any thread count, in both modes.  A list that fits
+// in one chunk runs inline on the caller.  A cancelled CancelScope stops
+// the run at the next fault chunk with OperationCancelled.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +28,7 @@
 #include "netlist/netlist.hpp"
 #include "sim/fault.hpp"
 #include "sim/pattern.hpp"
+#include "util/thread_pool.hpp"
 
 namespace protest {
 
@@ -39,7 +50,8 @@ struct FaultSimResult {
 };
 
 FaultSimResult simulate_faults(const Netlist& net, std::span<const Fault> faults,
-                               const PatternSet& ps, FaultSimMode mode);
+                               const PatternSet& ps, FaultSimMode mode,
+                               const ParallelConfig& parallel = {});
 
 /// Fault simulation pruned and checked by the static fault analysis
 /// (bounds parallel to the fault list, from analyze_faults on the same
@@ -49,10 +61,13 @@ FaultSimResult simulate_faults(const Netlist& net, std::span<const Fault> faults
 /// an empirical detection probability outside [lo - 6*sigma, hi + 6*sigma]
 /// (sigma = 1 / (2*sqrt(N)), the worst-case binomial deviation) means
 /// either the simulator or the static analysis is broken, and throws
-/// std::logic_error.  Throws std::invalid_argument on a size mismatch.
+/// std::logic_error; the check runs after the parallel simulation has
+/// joined, over the faults in order.  Throws std::invalid_argument on a
+/// size mismatch.
 FaultSimResult simulate_faults_pruned(const Netlist& net,
                                       std::span<const Fault> faults,
                                       const PatternSet& ps, FaultSimMode mode,
-                                      const FaultAnalysis& fa);
+                                      const FaultAnalysis& fa,
+                                      const ParallelConfig& parallel = {});
 
 }  // namespace protest

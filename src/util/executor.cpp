@@ -57,4 +57,13 @@ std::shared_ptr<Executor> make_executor(const ParallelConfig& config) {
   return std::make_shared<Executor>(config.resolved());
 }
 
+void run_tasks(const ParallelConfig& config, std::size_t num_tasks,
+               const std::function<void(std::size_t, unsigned)>& fn) {
+  if (num_tasks <= 1 || config.resolved() == 1) {
+    for (std::size_t t = 0; t < num_tasks; ++t) fn(t, 0);
+    return;
+  }
+  make_executor(config)->parallel_for(num_tasks, fn);
+}
+
 }  // namespace protest

@@ -76,4 +76,14 @@ class Executor {
 /// pool-per-component behavior).
 std::shared_ptr<Executor> make_executor(const ParallelConfig& config);
 
+/// Runs fn(task, worker) for every task in [0, num_tasks), with worker <
+/// config.resolved() (size per-worker scratch by that): on
+/// make_executor(config), or inline on the caller as worker 0 when the job
+/// has at most one task or the config one worker — then no executor is
+/// made and no pool spawned.  Either way the same fn runs, so a serial run
+/// is the 1-worker case of the parallel loop; exceptions propagate as in
+/// Executor::parallel_for.
+void run_tasks(const ParallelConfig& config, std::size_t num_tasks,
+               const std::function<void(std::size_t, unsigned)>& fn);
+
 }  // namespace protest

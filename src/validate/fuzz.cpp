@@ -317,13 +317,18 @@ class CircuitChecker {
       disagree("recheck:" + issue.check, issue.where, issue.detail);
   }
 
-  // Fault layer: under uniform 0.5 inputs the exhaustive fault
-  // simulator's detection probabilities are exact — each must land inside
-  // the static analyzer's sound per-fault interval.
+  // Fault layer: the fault-parallel analyzer and simulator give the
+  // serial answer bit for bit at N threads; and under uniform 0.5 inputs
+  // the exhaustive fault simulator's detection probabilities are exact —
+  // each must land inside the static analyzer's sound per-fault interval.
   void check_faults(const Netlist& net) {
-    if (net.inputs().size() > spec_.max_exhaustive_inputs) return;
     const std::vector<Fault> faults = structural_fault_list(net);
-    const FaultAnalysis fa = analyze_faults(net, faults);
+    FaultAnalyzeOptions serial_opts;
+    serial_opts.parallel.num_threads = 1;
+    const FaultAnalysis fa = analyze_faults(net, faults, serial_opts);
+    check_fault_threads(net, faults, fa);
+
+    if (net.inputs().size() > spec_.max_exhaustive_inputs) return;
     const FaultSimResult sim =
         simulate_faults(net, faults, PatternSet::exhaustive(net.inputs().size()),
                         FaultSimMode::CountDetections);
@@ -343,6 +348,54 @@ class CircuitChecker {
                  "probability " +
                      format_double(probs[f]));
       }
+    }
+  }
+
+  void check_fault_threads(const Netlist& net, std::span<const Fault> faults,
+                           const FaultAnalysis& serial) {
+    FaultAnalyzeOptions threaded_opts;
+    threaded_opts.parallel.num_threads = spec_.threads;
+    const FaultAnalysis threaded = analyze_faults(net, faults, threaded_opts);
+    count();
+    bool same = serial.bounds.size() == threaded.bounds.size() &&
+                serial.undetectable == threaded.undetectable &&
+                serial.unexcitable == threaded.unexcitable &&
+                serial.unobservable == threaded.unobservable &&
+                serial.detectable == threaded.detectable &&
+                serial.uncertain == threaded.uncertain &&
+                serial.truncated_sweeps == threaded.truncated_sweeps &&
+                serial.frechet_widened == threaded.frechet_widened &&
+                serial.learned_constants == threaded.learned_constants;
+    for (std::size_t i = 0; same && i < serial.bounds.size(); ++i) {
+      const FaultBound& a = serial.bounds[i];
+      const FaultBound& b = threaded.bounds[i];
+      same = a.lo == b.lo && a.hi == b.hi && a.verdict == b.verdict &&
+             a.cause == b.cause && a.truncated == b.truncated;
+    }
+    if (!same)
+      disagree("fault_serial_vs_threads", spec_.name,
+               "analyze_faults with " + std::to_string(spec_.threads) +
+                   " threads differs from serial");
+
+    // 1000 patterns: a partial last block, on the fuzzed tuple.
+    const PatternSet ps =
+        PatternSet::weighted(spec_.input_probs, 1000, spec_.mc_seed);
+    ParallelConfig one, n;
+    one.num_threads = 1;
+    n.num_threads = spec_.threads;
+    for (const FaultSimMode mode :
+         {FaultSimMode::CountDetections, FaultSimMode::FirstDetection}) {
+      const FaultSimResult a = simulate_faults(net, faults, ps, mode, one);
+      const FaultSimResult b = simulate_faults(net, faults, ps, mode, n);
+      count();
+      if (a.detect_count != b.detect_count || a.first_detect != b.first_detect)
+        disagree("fault_serial_vs_threads", spec_.name,
+                 std::string(mode == FaultSimMode::CountDetections
+                                 ? "CountDetections"
+                                 : "FirstDetection") +
+                     " fault simulation with " +
+                     std::to_string(spec_.threads) +
+                     " threads differs from serial");
     }
   }
 

@@ -24,8 +24,10 @@
 //                byte-for-byte on a round-tripped netlist, and
 //                serve_ndjson == direct handle_line per line; payloads
 //                re-verified by the independent validate/recheck leg
-//   faults       exhaustive fault simulation's detection probabilities
-//                inside the static analyzer's per-fault intervals
+//   faults       fault analysis and fault simulation (both modes):
+//                serial == N threads, bit-identical; exhaustive fault
+//                simulation's detection probabilities inside the static
+//                analyzer's per-fault intervals
 //
 // Every disagreement is serialized as a SELF-CONTAINED repro artifact —
 // the full circuit spec (generator params or bench text), input tuple,

@@ -173,10 +173,25 @@ TEST(Cli, ThreadsFlagIsValidatedAndDeterministic) {
     const CliRun r = cli({"analyze", f.path(), "--threads", bad});
     EXPECT_EQ(r.code, 2) << bad;
   }
-  // simulate never evaluates an engine; --threads there is a usage error.
-  const CliRun sim = cli({"simulate", f.path(), "--patterns", "64",
-                          "--threads", "2"});
-  EXPECT_EQ(sim.code, 2);
+}
+
+TEST(Cli, FaultSideCommandsAreByteIdenticalAcrossThreadCounts) {
+  // simulate and lint --faults partition the fault list across --threads
+  // workers; alu's fault list spans several chunks, so the threaded runs
+  // really split it.  1000 patterns leave a partial last block.
+  for (const std::vector<std::string>& cmd :
+       {std::vector<std::string>{"simulate", "zoo:alu", "--patterns", "1000"},
+        std::vector<std::string>{"lint", "zoo:alu", "--faults"},
+        std::vector<std::string>{"lint", "zoo:alu", "--faults", "--json"}}) {
+    std::vector<std::string> serial = cmd, threaded = cmd;
+    serial.insert(serial.end(), {"--threads", "1"});
+    threaded.insert(threaded.end(), {"--threads", "4"});
+    const CliRun a = cli(serial);
+    const CliRun b = cli(threaded);
+    EXPECT_EQ(a.code, b.code) << cmd[0] << ": " << a.err << b.err;
+    EXPECT_FALSE(a.out.empty()) << cmd[0];
+    EXPECT_EQ(a.out, b.out) << cmd[0];
+  }
 }
 
 TEST(Cli, UnknownEngineIsAUsageError) {

@@ -4,7 +4,9 @@
 // (detection_probs_bounded, simulate_faults_pruned).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "prob/signal_prob.hpp"
 #include "sim/fault_sim.hpp"
 #include "sim/word_sim.hpp"
+#include "util/executor.hpp"
 
 namespace protest {
 namespace {
@@ -213,6 +216,190 @@ TEST(FaultAnalyze, BundledCorpusSettlesAndStaysSound) {
   }
 }
 
+// --- fault-parallel determinism ---------------------------------------------
+
+/// The netlists the thread-count tests run on: alu, a 2k-gate stress
+/// netlist, and every bundled tests/data file — each spans several
+/// 64-fault chunks except the smallest corpus files, which cover the
+/// inline one-chunk case.
+std::vector<std::pair<std::string, Netlist>> threading_corpus() {
+  std::vector<std::pair<std::string, Netlist>> out;
+  out.emplace_back("alu", make_circuit("alu"));
+  out.emplace_back("stress2k",
+                   make_random_circuit(stress_circuit_params(2000)));
+  const char* data = std::getenv("PROTEST_DATA");
+  EXPECT_NE(data, nullptr) << "PROTEST_DATA not set (see CMakeLists.txt)";
+  if (data == nullptr) return out;
+  for (const char* f : {"c17", "alu74181", "cla74182", "add74283", "par74280"})
+    out.emplace_back(f,
+                     read_bench_file(std::string(data) + "/" + f + ".bench"));
+  return out;
+}
+
+void expect_same_analysis(const FaultAnalysis& a, const FaultAnalysis& b,
+                          const std::string& where) {
+  ASSERT_EQ(a.bounds.size(), b.bounds.size()) << where;
+  for (std::size_t i = 0; i < a.bounds.size(); ++i) {
+    // Bit-identical, not merely close: compare the raw doubles.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.bounds[i].lo),
+              std::bit_cast<std::uint64_t>(b.bounds[i].lo))
+        << where << " fault " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.bounds[i].hi),
+              std::bit_cast<std::uint64_t>(b.bounds[i].hi))
+        << where << " fault " << i;
+    EXPECT_EQ(a.bounds[i].verdict, b.bounds[i].verdict) << where;
+    EXPECT_EQ(a.bounds[i].cause, b.bounds[i].cause) << where;
+    EXPECT_EQ(a.bounds[i].truncated, b.bounds[i].truncated) << where;
+  }
+  EXPECT_EQ(a.undetectable, b.undetectable) << where;
+  EXPECT_EQ(a.unexcitable, b.unexcitable) << where;
+  EXPECT_EQ(a.unobservable, b.unobservable) << where;
+  EXPECT_EQ(a.detectable, b.detectable) << where;
+  EXPECT_EQ(a.uncertain, b.uncertain) << where;
+  EXPECT_EQ(a.truncated_sweeps, b.truncated_sweeps) << where;
+  EXPECT_EQ(a.frechet_widened, b.frechet_widened) << where;
+  EXPECT_EQ(a.learned_constants, b.learned_constants) << where;
+}
+
+FaultAnalysis analyze_with(const Netlist& net, std::span<const Fault> faults,
+                           ParallelConfig parallel) {
+  FaultAnalyzeOptions fo;
+  fo.parallel = std::move(parallel);
+  return analyze_faults(net, faults, fo);
+}
+
+TEST(FaultAnalyzeThreads, BitIdenticalForAnyThreadCount) {
+  for (const auto& [name, net] : threading_corpus()) {
+    const std::vector<Fault> faults = collapsed_fault_list(net);
+    ParallelConfig serial;
+    serial.num_threads = 1;
+    const FaultAnalysis ref = analyze_with(net, faults, serial);
+    for (const unsigned threads : {2u, 3u, 7u}) {
+      ParallelConfig pc;
+      pc.num_threads = threads;
+      expect_same_analysis(ref, analyze_with(net, faults, pc),
+                           name + " @" + std::to_string(threads));
+    }
+    // An injected shared executor (the service's seam) gives the same.
+    ParallelConfig shared;
+    shared.executor = std::make_shared<Executor>(3u);
+    expect_same_analysis(ref, analyze_with(net, faults, shared),
+                         name + " @shared");
+  }
+}
+
+TEST(FaultAnalyzeThreads, EmptyFaultListAtAnyThreadCount) {
+  const Netlist net = make_circuit("alu");
+  for (const unsigned threads : {1u, 3u}) {
+    ParallelConfig pc;
+    pc.num_threads = threads;
+    const FaultAnalysis fa = analyze_with(net, {}, pc);
+    EXPECT_TRUE(fa.bounds.empty());
+    EXPECT_EQ(fa.undetectable + fa.detectable + fa.uncertain, 0u);
+    EXPECT_EQ(fa.frechet_widened, 0u);
+  }
+}
+
+TEST(FaultAnalyzeThreads, BadFaultPinThrowsAtAnyThreadCount) {
+  // The bad fault sits in the last of several chunks.
+  const Netlist net = make_circuit("alu");
+  std::vector<Fault> faults = collapsed_fault_list(net);
+  ASSERT_GT(faults.size(), 128u);
+  NodeId gate = 0;
+  while (net.gate(gate).type == GateType::Input) ++gate;
+  const int bad_pin = static_cast<int>(net.gate(gate).fanin.size());
+  faults.push_back(Fault{gate, bad_pin, StuckAt::Zero});
+  for (const unsigned threads : {1u, 3u, 7u}) {
+    ParallelConfig pc;
+    pc.num_threads = threads;
+    EXPECT_THROW(analyze_with(net, faults, pc), std::invalid_argument)
+        << threads;
+  }
+}
+
+/// FNV-1a over raw bytes, for the golden hashes below.
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ull;
+  template <typename T>
+  void mix(const T& v) {
+    const auto* b = reinterpret_cast<const unsigned char*>(&v);
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+TEST(FaultSideGolden, MatchesTheSerialImplementation) {
+  // Hashes of analyze_faults (bounds, census, widenings) and of plain and
+  // pruned simulate_faults in both modes, recorded with the fault-serial
+  // implementation that preceded the fault-parallel loops.  The parallel
+  // loops must reproduce them at every thread count.
+  const char* data = std::getenv("PROTEST_DATA");
+  ASSERT_NE(data, nullptr) << "PROTEST_DATA not set (see CMakeLists.txt)";
+  struct Golden {
+    std::string name;
+    Netlist net;
+    std::uint64_t analyze, all;
+  };
+  std::vector<Golden> cases;
+  cases.push_back({"alu", make_circuit("alu"), 0x83ce7ad590612747ull,
+                   0xe7abad87a0ccf767ull});
+  cases.push_back({"stress1k", make_random_circuit(stress_circuit_params(1000)),
+                   0xf47394732ba9e09eull, 0x5b5335c8f77d4196ull});
+  const std::pair<const char*, std::pair<std::uint64_t, std::uint64_t>>
+      files[] = {
+          {"c17", {0x59df50019b46b5b7ull, 0x2003aaf7d01c63f7ull}},
+          {"alu74181", {0x83ce7ad590612747ull, 0xe7abad87a0ccf767ull}},
+          {"cla74182", {0x89b50dfb83901d72ull, 0xbcbea15d042e87c6ull}},
+          {"add74283", {0x0d6581a932598be4ull, 0x20bc8ea4e896375cull}},
+          {"par74280", {0xd2d4061421a177c3ull, 0xfcdfa4425dc367c3ull}},
+      };
+  for (const auto& [f, hashes] : files)
+    cases.push_back(
+        {f, read_bench_file(std::string(data) + "/" + f + ".bench"),
+         hashes.first, hashes.second});
+
+  for (const Golden& g : cases) {
+    const std::vector<Fault> faults = collapsed_fault_list(g.net);
+    for (const unsigned threads : {1u, 3u}) {
+      ParallelConfig pc;
+      pc.num_threads = threads;
+      FaultAnalyzeOptions fo;
+      fo.input_probs = uniform_input_probs(g.net, 0.4);
+      fo.parallel = pc;
+      const FaultAnalysis fa = analyze_faults(g.net, faults, fo);
+      Fnv h;
+      for (const FaultBound& b : fa.bounds) {
+        h.mix(b.lo);
+        h.mix(b.hi);
+        h.mix(b.verdict);
+        h.mix(b.cause);
+        h.mix(b.truncated);
+      }
+      for (const std::size_t c :
+           {fa.undetectable, fa.unexcitable, fa.unobservable, fa.detectable,
+            fa.uncertain, fa.truncated_sweeps, fa.frechet_widened,
+            fa.learned_constants})
+        h.mix(c);
+      const std::string where = g.name + " @" + std::to_string(threads);
+      EXPECT_EQ(h.h, g.analyze) << where;
+
+      const PatternSet ps = PatternSet::weighted(fo.input_probs, 5000, 7);
+      for (const FaultSimMode mode :
+           {FaultSimMode::CountDetections, FaultSimMode::FirstDetection}) {
+        for (const FaultSimResult& r :
+             {simulate_faults(g.net, faults, ps, mode, pc),
+              simulate_faults_pruned(g.net, faults, ps, mode, fa, pc)}) {
+          for (const std::uint64_t c : r.detect_count) h.mix(c);
+          for (const std::int64_t c : r.first_detect) h.mix(c);
+        }
+      }
+      EXPECT_EQ(h.h, g.all) << where;
+    }
+  }
+}
+
 // --- bounded estimator ------------------------------------------------------
 
 TEST(DetectProbsBounded, ClampsIntoIntervalAndZeroesProvenUndetectable) {
@@ -292,6 +479,32 @@ TEST(FaultSimPruned, OracleThrowsOnImpossibleInterval) {
       simulate_faults_pruned(net, std::span<const Fault>(faults).first(2), ps,
                              FaultSimMode::CountDetections, fa),
       std::invalid_argument);
+}
+
+TEST(FaultSimPruned, OracleThrowsWithThreads) {
+  // Sabotage a fault in a late chunk of a several-chunk list: the oracle
+  // runs after the parallel simulation joins, so it still fires.
+  const Netlist net = make_circuit("alu");
+  const std::vector<Fault> faults = collapsed_fault_list(net);
+  FaultAnalysis fa = analyze_faults(net, faults);
+  const PatternSet ps = PatternSet::random(net.inputs().size(), 4096, 99);
+  ParallelConfig pc;
+  pc.num_threads = 3;
+  const FaultSimResult count = simulate_faults_pruned(
+      net, faults, ps, FaultSimMode::CountDetections, fa, pc);
+  std::size_t victim = faults.size();
+  for (std::size_t i = faults.size(); i-- > 64;) {
+    if (count.detect_count[i] < ps.num_patterns() / 2) {
+      victim = i;
+      break;
+    }
+  }
+  ASSERT_LT(victim, faults.size());
+  fa.bounds[victim] = {0.999, 1.0, FaultClass::ProvenDetectable,
+                       UndetectableCause::None, false};
+  EXPECT_THROW(simulate_faults_pruned(net, faults, ps,
+                                      FaultSimMode::CountDetections, fa, pc),
+               std::logic_error);
 }
 
 }  // namespace

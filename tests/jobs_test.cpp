@@ -14,7 +14,9 @@
 
 #include "analysis/json.hpp"
 #include "circuits/iscas.hpp"
+#include "circuits/random_circuit.hpp"
 #include "circuits/zoo.hpp"
+#include "lint/fault_analyze.hpp"
 #include "optimize/hill_climb.hpp"
 #include "optimize/objective.hpp"
 #include "prob/engine.hpp"
@@ -23,6 +25,8 @@
 #include "prob/parallel_eval.hpp"
 #include "protest/jobs.hpp"
 #include "protest/service.hpp"
+#include "sim/fault.hpp"
+#include "sim/fault_sim.hpp"
 #include "util/cancel.hpp"
 #include "util/executor.hpp"
 
@@ -152,6 +156,49 @@ TEST(ParallelEvalCancel, CancelledSweepStopsAtATaskBoundary) {
   const CancelScope scope(token);
   const std::vector<InputProbs> batch(8, uniform_input_probs(net, 0.5));
   EXPECT_THROW(eval.signal_probs_batch(batch), OperationCancelled);
+}
+
+TEST(FaultSideCancel, CancelledAnalysisAndSimulationStopAtAChunkBoundary) {
+  // alu's fault list spans several chunks.  Pre-cancelled, both the fault
+  // analyzer and the fault simulator stop at their first chunk checkpoint,
+  // on the inline (1 thread) and the executor (2 threads) path alike.
+  const Netlist net = make_circuit("alu");
+  const std::vector<Fault> faults = collapsed_fault_list(net);
+  const PatternSet ps = PatternSet::random(net.inputs().size(), 1024, 3);
+  const CancelToken token = CancelToken::source();
+  token.request_cancel();
+  const CancelScope scope(token);
+  for (const unsigned threads : {1u, 2u}) {
+    FaultAnalyzeOptions fo;
+    fo.parallel.num_threads = threads;
+    EXPECT_THROW(analyze_faults(net, faults, fo), OperationCancelled);
+    EXPECT_THROW(simulate_faults(net, faults, ps, FaultSimMode::CountDetections,
+                                 fo.parallel),
+                 OperationCancelled);
+  }
+}
+
+TEST(FaultSideCancel, MidFlightCancelStopsTheFaultSimulation) {
+  // 2^18 patterns over a 2k-gate netlist's faults take far longer than the
+  // cancellation delay: without the per-chunk checkpoint the run would
+  // grind through every window and the throw below would never happen.
+  const Netlist net = make_random_circuit(stress_circuit_params(2000));
+  const std::vector<Fault> faults = collapsed_fault_list(net);
+  const PatternSet ps =
+      PatternSet::random(net.inputs().size(), std::size_t{1} << 18, 1);
+  ParallelConfig two_workers;
+  two_workers.num_threads = 2;
+
+  const CancelToken token = CancelToken::source();
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(20ms);
+    token.request_cancel();
+  });
+  const CancelScope scope(token);
+  EXPECT_THROW(simulate_faults(net, faults, ps, FaultSimMode::CountDetections,
+                               two_workers),
+               OperationCancelled);
+  canceller.join();
 }
 
 // --- the job manager --------------------------------------------------------
