@@ -16,10 +16,11 @@
 // (simulate_faults_pruned's built-in 6-sigma oracle).  Optional
 // --min-settled / --min-speedup floors serve as CI regression guards.
 //
-// Both fault-side layers partition the fault list across threads, so the
-// analysis and the pruned FirstDetection run are also timed serially (1
-// thread) and on every hardware thread; the two runs must agree bit for
-// bit, and --min-thread-speedup floors the threaded speed-up of each.  The
+// Constant learning, the analysis and the pruned FirstDetection run are
+// each timed serially (1 thread) and on every hardware thread: learning
+// speculates across workers, the other two partition the fault list.  The
+// two runs of each must agree bit for bit, and --min-thread-speedup
+// floors the threaded speed-up of each.  The
 // floor is skipped (and says so) on a machine with one hardware thread.
 // The machine record (hardware threads, CPU, compiler, build type,
 // commit) goes into the JSON next to the numbers.
@@ -33,6 +34,7 @@
 #include "bench_util.hpp"
 #include "circuits/random_circuit.hpp"
 #include "lint/fault_analyze.hpp"
+#include "lint/implication.hpp"
 #include "sim/fault_sim.hpp"
 
 namespace protest {
@@ -107,6 +109,38 @@ int main(int argc, char** argv) {
               net.inputs().size(), net.num_gates(), faults.size());
   json.metric("circuit.gates", static_cast<double>(net.num_gates()));
   json.metric("circuit.faults", static_cast<double>(faults.size()));
+
+  // --- constant learning ----------------------------------------------------
+  // The implication engine's pass alone (analyze_faults runs it first).
+  // Best of two: the threaded run is the process's first pool, and on
+  // some virtual machines a fresh pool's threads share one CPU for the
+  // first second or so.
+  ImplicationStats learn_serial_stats, learn_stats;
+  std::vector<signed char> learned_serial, learned;
+  const double t_learn_serial = best_seconds(2, [&] {
+    learned_serial =
+        learn_constants(net, {}, &learn_serial_stats, threads_config(1));
+  });
+  const double t_learn = best_seconds(2, [&] {
+    learned = learn_constants(net, {}, &learn_stats, threads_config(threads));
+  });
+  const double learn_thread_speedup =
+      t_learn > 0.0 ? t_learn_serial / t_learn : 0.0;
+  const bool learn_identical =
+      learned == learned_serial &&
+      learn_stats.assumptions == learn_serial_stats.assumptions &&
+      learn_stats.implications == learn_serial_stats.implications &&
+      learn_stats.conflicts == learn_serial_stats.conflicts &&
+      learn_stats.learned == learn_serial_stats.learned;
+  json.metric("learn.serial_seconds", t_learn_serial);
+  json.metric("learn.threaded_seconds", t_learn);
+  json.metric("learn.thread_speedup", learn_thread_speedup);
+  json.metric("learn.assumptions", static_cast<double>(learn_stats.assumptions));
+  std::printf(
+      "constant learning: serial %.2fs, %u threads %.2fs (%.2fx, %s), %zu "
+      "learned\n",
+      t_learn_serial, threads, t_learn, learn_thread_speedup,
+      learn_identical ? "bit-identical" : "DIFFERENT", learn_stats.learned);
 
   // --- static settlement ----------------------------------------------------
   FaultAnalysis fa, fa_serial;
@@ -216,7 +250,8 @@ int main(int argc, char** argv) {
   json.metric("soundness.first_detect_mismatches",
               static_cast<double>(mismatched));
   json.metric("soundness.threads_identical",
-              analyze_identical && sim_identical ? 1.0 : 0.0);
+              learn_identical && analyze_identical && sim_identical ? 1.0
+                                                                    : 0.0);
 
   // 2. The 6-sigma interval oracle on a CountDetections run (a subset
   //    keeps the quadratic-ish count mode affordable at full size).
@@ -257,11 +292,12 @@ int main(int argc, char** argv) {
                  mismatched);
     return 1;
   }
-  if (!analyze_identical || !sim_identical) {
+  if (!learn_identical || !analyze_identical || !sim_identical) {
     std::fprintf(stderr,
                  "FAIL: the %u-thread run differs from the serial run "
-                 "(analysis %s, pruned simulation %s)\n",
-                 threads, analyze_identical ? "same" : "differs",
+                 "(learning %s, analysis %s, pruned simulation %s)\n",
+                 threads, learn_identical ? "same" : "differs",
+                 analyze_identical ? "same" : "differs",
                  sim_identical ? "same" : "differs");
     return 1;
   }
@@ -282,13 +318,14 @@ int main(int argc, char** argv) {
   if (min_thread_speedup > 0.0) {
     if (threads < 2) {
       std::printf("thread-speedup floor skipped: one hardware thread\n");
-    } else if (analyze_thread_speedup < min_thread_speedup ||
+    } else if (learn_thread_speedup < min_thread_speedup ||
+               analyze_thread_speedup < min_thread_speedup ||
                sim_thread_speedup < min_thread_speedup) {
       std::fprintf(stderr,
-                   "FAIL: %u-thread speed-up (analysis %.2fx, pruned sim "
-                   "%.2fx) below floor %.2fx\n",
-                   threads, analyze_thread_speedup, sim_thread_speedup,
-                   min_thread_speedup);
+                   "FAIL: %u-thread speed-up (learning %.2fx, analysis "
+                   "%.2fx, pruned sim %.2fx) below floor %.2fx\n",
+                   threads, learn_thread_speedup, analyze_thread_speedup,
+                   sim_thread_speedup, min_thread_speedup);
       return 1;
     }
   }

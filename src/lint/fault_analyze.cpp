@@ -71,31 +71,64 @@ struct Ev {
   std::uint64_t sig = 0;
 };
 
+/// Faults whose event sweeps share one traversal: at most this many
+/// lanes ride one group's heap.  Larger groups are split, which stays
+/// exact (every lane's result depends only on its own fault); the cap
+/// bounds the lane pool at kMaxLanes events per marked node.
+constexpr std::size_t kMaxLanes = 8;
+
+/// One live fault inside a group traversal.
+struct Lane {
+  std::size_t fault = 0;  ///< index into the fault list (and `bounds`)
+  Interval exc;           ///< excitation interval of the faulted line
+  Ev seed;                ///< the event at the fault's gate `f.node`
+};
+
+/// The unaffected side pins of one gate pin folded into the probability
+/// that they sensitize it.  It reads only the good-value intervals, so
+/// every lane crossing that pin shares it.
+struct Sens {
+  bool passthrough = false;  ///< BUF/NOT/XOR/XNOR: every flip propagates
+  Interval iv{1.0, 1.0};
+  std::uint64_t sig = 0;
+  std::size_t widened = 0;  ///< Fréchet steps the fold took
+};
+
 /// Per-worker sweep scratch, epoch-stamped to avoid O(n) clears.  Each
-/// worker of analyze_faults owns one; nothing in it outlives a fault
-/// except the allocations and the widening tally of the current chunk.
+/// worker of analyze_faults owns one; nothing in it outlives a traversal
+/// except the allocations and the widening tally of the current task.
 /// Workers' scratches sit side by side in one vector and their counters
 /// and heap ends change on every event, so each takes whole cache lines:
 /// sharing one would serialize the workers on it.
 struct alignas(64) SweepScratch {
-  explicit SweepScratch(std::size_t n)
-      : ev(n), ev_epoch(n, 0), queued_epoch(n, 0) {}
+  /// `max_marked` bounds the nodes one traversal marks, so the lane pool
+  /// is allocated once at its largest size and never grows (growing by
+  /// doubling would leave up to twice that resident).
+  SweepScratch(std::size_t n, std::size_t max_marked)
+      : ev_epoch(n, 0), row(n, 0), queued_epoch(n, 0) {
+    pool.reserve(max_marked * kMaxLanes);
+  }
 
-  std::vector<Ev> ev;
-  std::vector<std::uint32_t> ev_epoch;
+  std::vector<std::uint32_t> ev_epoch;  ///< node marked in this traversal
+  std::vector<std::uint32_t> row;       ///< its events' row in `pool`
   std::vector<std::uint32_t> queued_epoch;
   std::uint32_t epoch = 0;
+  /// One row of lane events per marked node, lanes side by side.
+  std::vector<Ev> pool;
   std::vector<NodeId> heap;     ///< min-heap on node id == topological order
   std::vector<NodeId> drivers;  ///< distinct affected drivers of one gate
+  std::vector<Lane> lanes;      ///< live lanes of the group being swept
   /// Fréchet/union widenings taken since the owner last reset it.
   std::size_t frechet_widened = 0;
 };
 
 /// The per-netlist static context: built once, then read-only, so every
-/// worker shares it and analyzes its faults against its own SweepScratch.
+/// worker shares it and analyzes its fault groups against its own
+/// SweepScratch.
 class Analyzer {
  public:
-  Analyzer(const Netlist& net, const FaultAnalyzeOptions& opts)
+  Analyzer(const Netlist& net, const FaultAnalyzeOptions& opts,
+           const ParallelConfig& parallel)
       : net_(net), opts_(opts) {
     if (!net.finalized())
       throw std::invalid_argument("analyze_faults: netlist must be finalized");
@@ -107,7 +140,7 @@ class Analyzer {
     learned_ = robust_;
     if (opts.learn) {
       ImplicationStats st;
-      learned_ = learn_constants(net, opts.implication, &st);
+      learned_ = learn_constants(net, opts.implication, &st, parallel);
       learned_count_ = st.learned;
     }
 
@@ -152,38 +185,33 @@ class Analyzer {
       throw std::invalid_argument("analyze_faults: fault pin out of range");
   }
 
-  /// Bounds one validated fault.  Reads only the shared context and
-  /// writes only `s`, so workers run it concurrently.
-  FaultBound analyze(const Fault& f, SweepScratch& s) const {
-    const NodeId site =
-        f.is_stem() ? f.node : net_.gate(f.node).fanin[f.pin];
+  /// The sweep-sharing key of a validated fault: its gate and whether its
+  /// origin is robust-free.  Faults with equal keys seed their events at
+  /// the same node and see the same robust-constant blocking, so their
+  /// sweeps pop the same nodes (see analyze_group).
+  std::size_t group_key(const Fault& f) const {
+    return 2 * static_cast<std::size_t>(f.node) + (robust_[site(f)] < 0);
+  }
 
-    // Excitation: the good value of the faulted line must be the opposite
-    // of the stuck value.
-    const Interval exc =
-        f.sa == StuckAt::Zero
-            ? Interval{sb_.lo[site], sb_.hi[site]}
-            : Interval{1.0 - sb_.hi[site], 1.0 - sb_.lo[site]};
-    if (exc.hi <= 0.0)
-      return undetectable(UndetectableCause::Unexcitable);
-
-    // Observability prechecks.  The effect surfaces at the stem node
-    // itself, or at the faulted pin's consuming gate.
-    const bool origin_free = robust_[site] < 0;
-    if (f.is_stem()) {
-      if (origin_free ? !obs_reach_[f.node] : !plain_reach_[f.node])
-        return undetectable(UndetectableCause::Unobservable);
-    } else {
-      // A robust-constant gate output is immune to a fault on a pin the
-      // lattice did not use to derive it (robust derivations only pass
-      // through robust-constant fanins, and this driver is robust-free).
-      if (origin_free && robust_[f.node] >= 0)
-        return undetectable(UndetectableCause::Unobservable);
-      if (origin_free ? !obs_reach_[f.node] : !plain_reach_[f.node])
-        return undetectable(UndetectableCause::Unobservable);
+  /// Bounds the validated faults `group[..]`, which share one group_key,
+  /// into `bounds` by fault index.  Reads only the shared context and
+  /// writes only `s` and the group's bounds, so workers run it
+  /// concurrently.
+  void analyze_group(std::span<const std::size_t> group,
+                     std::span<const Fault> faults, FaultBound* bounds,
+                     SweepScratch& s) const {
+    const Fault& first = faults[group.front()];
+    const bool origin_free = robust_[site(first)] < 0;
+    s.lanes.clear();
+    for (const std::size_t i : group) {
+      if (!start(faults[i], i, bounds[i], s)) continue;
+      if (s.lanes.size() == kMaxLanes) {
+        sweep_lanes(s.lanes, first.node, origin_free, bounds, s);
+        s.lanes.clear();
+      }
     }
-
-    return sweep(f, site, exc, origin_free, s);
+    if (!s.lanes.empty())
+      sweep_lanes(s.lanes, first.node, origin_free, bounds, s);
   }
 
  private:
@@ -191,57 +219,105 @@ class Analyzer {
     return {0.0, 0.0, FaultClass::ProvenUndetectable, cause, false};
   }
 
-  /// P(E and all unaffected side pins of `gate` sensitize pin `pin`):
-  /// the exact event identity for a single affected fanin.
-  Ev combine_single(NodeId gate, int pin, Ev e, SweepScratch& s) const {
+  NodeId site(const Fault& f) const {
+    return f.is_stem() ? f.node : net_.gate(f.node).fanin[f.pin];
+  }
+
+  /// The prechecks and the seed event of fault `f` (index `i`).  A fault
+  /// they settle gets its bound in `out`; a live one joins `s.lanes` and
+  /// start returns true.
+  bool start(const Fault& f, std::size_t i, FaultBound& out,
+             SweepScratch& s) const {
+    const NodeId line = site(f);
+
+    // Excitation: the good value of the faulted line must be the opposite
+    // of the stuck value.
+    const Interval exc =
+        f.sa == StuckAt::Zero
+            ? Interval{sb_.lo[line], sb_.hi[line]}
+            : Interval{1.0 - sb_.hi[line], 1.0 - sb_.lo[line]};
+    if (exc.hi <= 0.0) {
+      out = undetectable(UndetectableCause::Unexcitable);
+      return false;
+    }
+
+    // Observability prechecks.  The effect surfaces at the stem node
+    // itself, or at the faulted pin's consuming gate.
+    const bool origin_free = robust_[line] < 0;
+    // A robust-constant gate output is immune to a fault on a pin the
+    // lattice did not use to derive it (robust derivations only pass
+    // through robust-constant fanins, and this driver is robust-free).
+    if ((!f.is_stem() && origin_free && robust_[f.node] >= 0) ||
+        (origin_free ? !obs_reach_[f.node] : !plain_reach_[f.node])) {
+      out = undetectable(UndetectableCause::Unobservable);
+      return false;
+    }
+
+    // Seed: the event at the origin.  stem_bit gives the origin variable a
+    // signature bit of its own even when its good-value signature is empty
+    // (e.g. a learned-constant line).  A pin fault's event first crosses
+    // its consuming gate.
+    Ev seed{exc, sb_.sig[line] | stem_bit(line)};
+    if (!f.is_stem()) {
+      const Sens sens = sensitization(f.node, f.pin);
+      s.frechet_widened += sens.widened;
+      seed = through(sens, seed, s.frechet_widened);
+      if (seed.iv.hi <= 0.0) {
+        out = undetectable(UndetectableCause::Unobservable);
+        return false;
+      }
+    }
+    s.lanes.push_back({i, exc, seed});
+    return true;
+  }
+
+  /// The side-pin fold for an event on pin `pin` of `gate`: AND/NAND
+  /// propagate iff every side pin is 1; OR/NOR iff every side pin is 0.
+  /// Side pins are unaffected, so their good-value intervals apply; they
+  /// are folded with the product where the signatures prove
+  /// disjointness, Fréchet otherwise.
+  Sens sensitization(NodeId gate, int pin) const {
     const Gate& g = net_.gate(gate);
     const GateType t = g.type;
+    Sens sens;
     if (t == GateType::Buf || t == GateType::Not || t == GateType::Xor ||
-        t == GateType::Xnor)
-      return e;  // a flip on the single affected pin always propagates
-
-    // AND/NAND propagate iff every side pin is 1; OR/NOR iff every side
-    // pin is 0.  Side pins are unaffected, so their good-value intervals
-    // apply; fold them with the product where the signatures prove
-    // disjointness, Fréchet otherwise.
+        t == GateType::Xnor) {
+      sens.passthrough = true;
+      return sens;
+    }
     const bool need_one = t == GateType::And || t == GateType::Nand;
-    Interval sens{1.0, 1.0};
-    std::uint64_t sens_sig = 0;
     for (std::size_t k = 0; k < g.fanin.size(); ++k) {
       if (static_cast<int>(k) == pin) continue;
       const NodeId f = g.fanin[k];
       const Interval side = need_one
                                 ? Interval{sb_.lo[f], sb_.hi[f]}
                                 : Interval{1.0 - sb_.hi[f], 1.0 - sb_.lo[f]};
-      if ((sens_sig & sb_.sig[f]) == 0) {
-        sens.lo *= side.lo;
-        sens.hi *= side.hi;
+      if ((sens.sig & sb_.sig[f]) == 0) {
+        sens.iv.lo *= side.lo;
+        sens.iv.hi *= side.hi;
       } else {
-        ++s.frechet_widened;
-        sens = and_frechet(sens, side);
+        ++sens.widened;
+        sens.iv = and_frechet(sens.iv, side);
       }
-      sens_sig |= sb_.sig[f];
+      sens.sig |= sb_.sig[f];
     }
-    Ev out;
-    if ((e.sig & sens_sig) == 0) {
-      out.iv = {e.iv.lo * sens.lo, e.iv.hi * sens.hi};
-    } else {
-      ++s.frechet_widened;
-      out.iv = and_frechet(e.iv, sens);
-    }
-    out.iv = clamp01(out.iv);
-    out.sig = e.sig | sens_sig;
-    return out;
+    return sens;
   }
 
-  void mark(NodeId n, Ev e, double& det_lo, double& det_hi_sum,
-            SweepScratch& s) const {
-    s.ev[n] = e;
-    s.ev_epoch[n] = s.epoch;
-    if (net_.is_output(n)) {
-      det_lo = std::max(det_lo, e.iv.lo);
-      det_hi_sum += e.iv.hi;
+  /// P(E and the side pins sensitize): the exact event identity for a
+  /// single affected fanin, one lane's share of the work.
+  static Ev through(const Sens& sens, const Ev& e, std::size_t& widened) {
+    if (sens.passthrough) return e;
+    Ev out;
+    if ((e.sig & sens.sig) == 0) {
+      out.iv = {e.iv.lo * sens.iv.lo, e.iv.hi * sens.iv.hi};
+    } else {
+      ++widened;
+      out.iv = and_frechet(e.iv, sens.iv);
     }
+    out.iv = clamp01(out.iv);
+    out.sig = e.sig | sens.sig;
+    return out;
   }
 
   void push_consumers(NodeId n, SweepScratch& s) const {
@@ -254,25 +330,53 @@ class Analyzer {
     }
   }
 
-  FaultBound sweep(const Fault& f, NodeId site, Interval exc,
-                   bool origin_free, SweepScratch& s) const {
+  /// Sweeps `lanes`, which share gate `origin`, together; if they
+  /// diverge, restores the widening tally and sweeps them one by one.
+  void sweep_lanes(std::span<const Lane> lanes, NodeId origin,
+                   bool origin_free, FaultBound* bounds,
+                   SweepScratch& s) const {
+    const std::size_t tally = s.frechet_widened;
+    if (sweep(lanes, origin, origin_free, bounds, s)) return;
+    s.frechet_widened = tally;
+    for (const Lane& lane : lanes)
+      sweep({&lane, 1}, origin, origin_free, bounds, s);
+  }
+
+  /// One forward event traversal from `origin` for every lane of a group.
+  /// Which nodes a lane marks depends on the lane only through whether
+  /// its event at a node can be nonzero, so while every lane agrees on
+  /// that at every node, the lanes pop the same nodes in the same order
+  /// and truncate at the same step: each lane's bound is then exactly its
+  /// own one-fault sweep's.  The heap, the fanin scan and the side-pin
+  /// fold are shared; only the event arithmetic runs per lane.  Returns
+  /// false, with nothing written to `bounds`, when the lanes disagree
+  /// somewhere (an underflow in some lanes only).  One lane never does.
+  bool sweep(std::span<const Lane> lanes, NodeId origin, bool origin_free,
+             FaultBound* bounds, SweepScratch& s) const {
+    const std::size_t width = lanes.size();
     ++s.epoch;
     s.heap.clear();
-    double det_lo = 0.0, det_hi_sum = 0.0;
+    s.pool.clear();
+    double det_lo[kMaxLanes] = {};
+    double det_hi_sum[kMaxLanes] = {};
+    Ev next[kMaxLanes];
 
-    // Seed: the event at the origin.  stem_bit gives the origin variable a
-    // signature bit of its own even when its good-value signature is empty
-    // (e.g. a learned-constant line).
-    Ev origin{exc, sb_.sig[site] | stem_bit(site)};
-    if (f.is_stem()) {
-      mark(f.node, origin, det_lo, det_hi_sum, s);
-      push_consumers(f.node, s);
-    } else {
-      const Ev eg = combine_single(f.node, f.pin, origin, s);
-      if (eg.iv.hi <= 0.0) return undetectable(UndetectableCause::Unobservable);
-      mark(f.node, eg, det_lo, det_hi_sum, s);
-      push_consumers(f.node, s);
-    }
+    const auto mark = [&](NodeId n) {
+      s.ev_epoch[n] = s.epoch;
+      s.row[n] = static_cast<std::uint32_t>(s.pool.size() / width);
+      s.pool.insert(s.pool.end(), next, next + width);
+      if (net_.is_output(n)) {
+        for (std::size_t k = 0; k < width; ++k) {
+          det_lo[k] = std::max(det_lo[k], next[k].iv.lo);
+          det_hi_sum[k] += next[k].iv.hi;
+        }
+      }
+      push_consumers(n, s);
+    };
+    const auto events = [&](NodeId n) { return &s.pool[s.row[n] * width]; };
+
+    for (std::size_t k = 0; k < width; ++k) next[k] = lanes[k].seed;
+    mark(origin);
 
     std::size_t visited = 0;
     while (!s.heap.empty()) {
@@ -284,13 +388,16 @@ class Analyzer {
       if (origin_free && robust_[c] >= 0) continue;
       if (++visited > opts_.max_cone_nodes) {
         // Budget: fall back to the excitation bound — still sound.
-        FaultBound b{0.0, exc.hi, FaultClass::Uncertain,
-                     UndetectableCause::None, true};
-        if (b.hi <= 0.0) {  // cannot happen (prechecked), but keep it sound
-          b.verdict = FaultClass::ProvenUndetectable;
-          b.cause = UndetectableCause::Unexcitable;
+        for (const Lane& lane : lanes) {
+          FaultBound b{0.0, lane.exc.hi, FaultClass::Uncertain,
+                       UndetectableCause::None, true};
+          if (b.hi <= 0.0) {  // cannot happen (prechecked); keep it sound
+            b.verdict = FaultClass::ProvenUndetectable;
+            b.cause = UndetectableCause::Unexcitable;
+          }
+          bounds[lane.fault] = b;
         }
-        return b;
+        return true;
       }
 
       const Gate& g = net_.gate(c);
@@ -308,41 +415,53 @@ class Analyzer {
       }
       if (affected_pins == 0) continue;
 
-      Ev e;
       if (affected_pins == 1) {
-        e = combine_single(c, single_pin, s.ev[s.drivers[0]], s);
+        const Sens sens = sensitization(c, single_pin);
+        s.frechet_widened += sens.widened * width;
+        const Ev* in = events(s.drivers[0]);
+        for (std::size_t k = 0; k < width; ++k)
+          next[k] = through(sens, in[k], s.frechet_widened);
       } else {
         // Several affected fanins (the fault effect reconverges): the
         // output can only differ if some affected driver differs — union
         // bound over the distinct drivers, lower bound 0 (effects may
         // cancel, e.g. XOR of a stem with itself).
-        ++s.frechet_widened;
-        double hi = 0.0;
-        std::uint64_t sig = 0;
-        for (const NodeId d : s.drivers) {
-          hi += s.ev[d].iv.hi;
-          sig |= s.ev[d].sig;
+        s.frechet_widened += width;
+        std::uint64_t fanin_sig = 0;
+        for (const NodeId d : g.fanin) fanin_sig |= sb_.sig[d];
+        for (std::size_t k = 0; k < width; ++k) {
+          double hi = 0.0;
+          std::uint64_t sig = 0;
+          for (const NodeId d : s.drivers) {
+            const Ev& e = events(d)[k];
+            hi += e.iv.hi;
+            sig |= e.sig;
+          }
+          next[k].iv = clamp01({0.0, hi});
+          next[k].sig = sig | fanin_sig;
         }
-        for (const NodeId d : g.fanin) sig |= sb_.sig[d];
-        e.iv = clamp01({0.0, hi});
-        e.sig = sig;
       }
-      if (e.iv.hi <= 0.0) continue;  // provably never differs: cone pruned
-      mark(c, e, det_lo, det_hi_sum, s);
-      push_consumers(c, s);
+      std::size_t live = 0;
+      for (std::size_t k = 0; k < width; ++k) live += next[k].iv.hi > 0.0;
+      if (live == 0) continue;  // provably never differs: cone pruned
+      if (live != width) return false;
+      mark(c);
     }
 
-    Interval det{det_lo, std::min({1.0, det_hi_sum, exc.hi})};
-    det = clamp01(det);
-    FaultBound b{det.lo, det.hi, FaultClass::Uncertain,
-                 UndetectableCause::None, false};
-    if (det.hi <= 0.0) {
-      b.verdict = FaultClass::ProvenUndetectable;
-      b.cause = UndetectableCause::Unobservable;
-    } else if (det.lo > 0.0) {
-      b.verdict = FaultClass::ProvenDetectable;
+    for (std::size_t k = 0; k < width; ++k) {
+      Interval det{det_lo[k], std::min({1.0, det_hi_sum[k], lanes[k].exc.hi})};
+      det = clamp01(det);
+      FaultBound b{det.lo, det.hi, FaultClass::Uncertain,
+                   UndetectableCause::None, false};
+      if (det.hi <= 0.0) {
+        b.verdict = FaultClass::ProvenUndetectable;
+        b.cause = UndetectableCause::Unobservable;
+      } else if (det.lo > 0.0) {
+        b.verdict = FaultClass::ProvenDetectable;
+      }
+      bounds[lanes[k].fault] = b;
     }
-    return b;
+    return true;
   }
 
   const Netlist& net_;
@@ -356,38 +475,68 @@ class Analyzer {
   std::size_t learned_count_ = 0;
 };
 
-/// Faults per task of the parallel sweep: small enough to balance a few
-/// expensive cones across workers, large enough that claiming a task and
-/// the cancellation checkpoint cost nothing next to the sweeps.
+/// Faults per task of the parallel sweep (whole groups, so a task may run
+/// over): small enough to balance a few expensive cones across workers,
+/// large enough that claiming a task and the cancellation checkpoint cost
+/// nothing next to the sweeps.
 constexpr std::size_t kFaultChunk = 64;
 
 }  // namespace
 
 FaultAnalysis analyze_faults(const Netlist& net, std::span<const Fault> faults,
                              const FaultAnalyzeOptions& opts) {
-  const Analyzer az(net, opts);
+  // One executor for the call: constant learning and the sweeps share it.
+  ParallelConfig parallel = opts.parallel;
+  if (!parallel.executor && parallel.resolved() > 1)
+    parallel.executor = make_executor(parallel);
+  const Analyzer az(net, opts, parallel);
   for (const Fault& f : faults) az.validate(f);
 
   FaultAnalysis out;
   out.bounds.resize(faults.size());
   out.learned_constants = az.learned_count();
 
-  // Every bound depends only on its own fault, and each chunk writes only
-  // its own slice of `bounds` and its own widening tally, so the result is
+  // Group the faults by sweep-sharing key: a counting sort that keeps
+  // fault order within a group.  `order[group_begin[g] ..
+  // group_begin[g + 1])` are group g's faults.
+  std::vector<std::size_t> key_begin(2 * net.size() + 1, 0);
+  for (const Fault& f : faults) ++key_begin[az.group_key(f) + 1];
+  for (std::size_t k = 1; k < key_begin.size(); ++k)
+    key_begin[k] += key_begin[k - 1];
+  std::vector<std::size_t> group_begin;
+  for (std::size_t k = 0; k + 1 < key_begin.size(); ++k)
+    if (key_begin[k] != key_begin[k + 1]) group_begin.push_back(key_begin[k]);
+  group_begin.push_back(faults.size());
+  std::vector<std::size_t> order(faults.size());
+  for (std::size_t i = 0; i < faults.size(); ++i)
+    order[key_begin[az.group_key(faults[i])]++] = i;
+
+  // Tasks are runs of whole groups of at least kFaultChunk faults.
+  std::vector<std::size_t> task_begin;  // first group of each task
+  for (std::size_t g = 0; g + 1 < group_begin.size(); ++g)
+    if (task_begin.empty() ||
+        group_begin[g] - group_begin[task_begin.back()] >= kFaultChunk)
+      task_begin.push_back(g);
+  const std::size_t num_tasks = task_begin.size();
+  task_begin.push_back(group_begin.size() - 1);
+
+  // Every bound depends only on its own fault, and each task writes only
+  // its own faults' bounds and its own widening tally, so the result is
   // the same for any thread count and any task schedule.
-  const std::size_t num_chunks =
-      (faults.size() + kFaultChunk - 1) / kFaultChunk;
-  std::vector<std::optional<SweepScratch>> scratch(opts.parallel.resolved());
-  std::vector<std::size_t> chunk_widened(num_chunks, 0);
-  run_tasks(opts.parallel, num_chunks, [&](std::size_t chunk, unsigned worker) {
+  std::vector<std::optional<SweepScratch>> scratch(parallel.resolved());
+  std::vector<std::size_t> task_widened(num_tasks, 0);
+  run_tasks(parallel, num_tasks, [&](std::size_t task, unsigned worker) {
     check_cancelled();
     std::optional<SweepScratch>& s = scratch[worker];
-    if (!s) s.emplace(net.size());
+    // A traversal marks its origin plus at most max_cone_nodes visits.
+    if (!s)
+      s.emplace(net.size(), std::min(net.size(), opts.max_cone_nodes) + 1);
     s->frechet_widened = 0;
-    const std::size_t end = std::min(faults.size(), (chunk + 1) * kFaultChunk);
-    for (std::size_t i = chunk * kFaultChunk; i < end; ++i)
-      out.bounds[i] = az.analyze(faults[i], *s);
-    chunk_widened[chunk] = s->frechet_widened;
+    for (std::size_t g = task_begin[task]; g < task_begin[task + 1]; ++g)
+      az.analyze_group(std::span<const std::size_t>(order).subspan(
+                           group_begin[g], group_begin[g + 1] - group_begin[g]),
+                       faults, out.bounds.data(), *s);
+    task_widened[task] = s->frechet_widened;
   });
 
   // The census, reduced in fault order after the join.
@@ -409,7 +558,7 @@ FaultAnalysis analyze_faults(const Netlist& net, std::span<const Fault> faults,
     }
     if (b.truncated) ++out.truncated_sweeps;
   }
-  for (const std::size_t w : chunk_widened) out.frechet_widened += w;
+  for (const std::size_t w : task_widened) out.frechet_widened += w;
   return out;
 }
 

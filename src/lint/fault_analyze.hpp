@@ -44,13 +44,34 @@
 // Sweeps are budgeted per fault; a truncated sweep soundly falls back to
 // [0, excitation hi].
 //
-// Threading.  The constant lattices, the implication engine and the
-// signal-probability intervals are built once per call, serially; the
-// per-fault sweeps then run in fixed-size fault chunks on the executor of
-// FaultAnalyzeOptions::parallel, each worker with its own sweep scratch.
-// Every bound depends only on its own fault and the shared context, and
-// the census and frechet_widened are reduced in fault order after the
-// join, so the whole FaultAnalysis is bit-identical for any thread count.
+// Shared sweeps.  Every fault's event starts at its gate `f.node` (a stem
+// fault's at the node itself, a pin fault's once it crosses the gate).
+// From there, the nodes a sweep marks depend on the fault only through
+// whether its event at each node can be nonzero: robust-constant blocking
+// depends on `origin_free` (the faulted line is not a robust constant),
+// the rest on the side pins' good values, the heap order and the visit
+// count.  So the faults are grouped by the key (f.node, origin_free) and
+// each group is swept once, one LANE per fault carrying that fault's own
+// events and detection sums; the heap, the fanin scan and the side-pin
+// fold are shared, and a shared fold's Fréchet steps count once per lane.
+//   * Lane cap: a traversal carries at most 8 lanes; larger groups are
+//     split into several traversals, which is exact.
+//   * Divergence fallback: if the lanes disagree at some node (some
+//     events underflow to 0 and others do not), the traversal is dropped,
+//     the group's widening tally restored, and each of its faults swept
+//     alone.
+// Every fault's bound and widenings are therefore exactly those of its
+// own one-fault sweep.
+//
+// Threading.  The constant lattices and the signal-probability intervals
+// are built once per call; constant learning runs speculatively on the
+// executor of FaultAnalyzeOptions::parallel (see learn_constants, which
+// stays bit-identical to its serial loop), and the fault groups then run
+// in tasks of whole groups on the same executor, each worker with its own
+// sweep scratch.  Every bound depends only on its own fault and the
+// shared context, and the census and frechet_widened are reduced after
+// the join, so the whole FaultAnalysis is bit-identical for any thread
+// count.
 #pragma once
 
 #include <cstddef>
@@ -102,8 +123,8 @@ struct FaultAnalyzeOptions {
   ImplicationOptions implication;
   /// Per-fault budget on nodes visited by the forward event sweep.
   std::size_t max_cone_nodes = 2048;
-  /// Workers for the per-fault sweeps (0 = all hardware threads).  The
-  /// result does not depend on it.
+  /// Workers for constant learning and the fault sweeps (0 = all
+  /// hardware threads).  The result does not depend on it.
   ParallelConfig parallel;
 };
 
@@ -137,7 +158,7 @@ struct FaultAnalysis {
 /// Throws std::invalid_argument on an unfinalized netlist, a bad input
 /// tuple, or a fault referencing a nonexistent node/pin (checked for the
 /// whole list before any sweep runs).  A cancelled CancelScope stops it
-/// at the next fault chunk with OperationCancelled.
+/// at the next learning batch or fault task with OperationCancelled.
 FaultAnalysis analyze_faults(const Netlist& net, std::span<const Fault> faults,
                              const FaultAnalyzeOptions& opts = {});
 

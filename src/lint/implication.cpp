@@ -1,6 +1,12 @@
 #include "lint/implication.hpp"
 
+#include <atomic>
+#include <limits>
+#include <memory>
+
 #include "lint/fold.hpp"
+#include "util/cancel.hpp"
+#include "util/executor.hpp"
 
 namespace protest {
 namespace {
@@ -198,7 +204,9 @@ bool ImplicationEngine::propagate(std::vector<NodeId>* unjustified) {
 }
 
 bool ImplicationEngine::close(unsigned depth) {
-  std::vector<NodeId> unjustified;
+  if (unjustified_.size() <= depth) unjustified_.resize(depth + 1);
+  std::vector<NodeId>& unjustified = unjustified_[depth];
+  unjustified.clear();
   if (!propagate(&unjustified)) return false;
   while (depth > 0 && !exhausted_) {
     bool progress = false;
@@ -268,20 +276,130 @@ void ImplicationEngine::pin(NodeId node, bool value) {
   val_ = base_;
 }
 
+void ImplicationEngine::charge(const ImplicationStats& spent) {
+  stats_.assumptions += spent.assumptions;
+  stats_.implications += spent.implications;
+  stats_.conflicts += spent.conflicts;
+  stats_.learned += spent.learned;
+}
+
+namespace {
+
+/// The refutation pair for one node: the value it is proven to carry on
+/// every vector, or -1.
+signed char evaluate(ImplicationEngine& eng, NodeId n) {
+  if (eng.proves_conflict(n, true)) return 0;
+  if (eng.proves_conflict(n, false)) return 1;
+  return -1;
+}
+
+/// Pending nodes per speculation batch: enough to keep a few workers busy
+/// between commits, few enough that a pin wastes little work.
+constexpr std::size_t kLearnBatch = 32;
+/// Nodes between cancellation checkpoints on one worker.
+constexpr NodeId kLearnCheckpoint = 256;
+
+}  // namespace
+
 std::vector<signed char> learn_constants(const Netlist& net,
                                          const ImplicationOptions& opts,
-                                         ImplicationStats* stats) {
+                                         ImplicationStats* stats,
+                                         const ParallelConfig& parallel) {
+  // The committed engine: its base and stats are the result.
   ImplicationEngine eng(net, propagate_constants(net), opts);
-  for (NodeId n = 0; n < static_cast<NodeId>(net.size()); ++n) {
-    if (net.is_input(n)) continue;  // inputs are free variables
-    if (eng.base()[n] >= 0) continue;
-    if (eng.stats().assumptions >= opts.max_assumptions) break;
-    if (eng.proves_conflict(n, true)) {
-      eng.pin(n, false);
-    } else if (eng.proves_conflict(n, false)) {
-      eng.pin(n, true);
+  const NodeId size = static_cast<NodeId>(net.size());
+  const auto pending = [&](NodeId n) {
+    return !net.is_input(n) && eng.base()[n] < 0;  // inputs are free
+  };
+  // The serial loop from node `from` on.
+  const auto serial = [&](NodeId from) {
+    for (NodeId n = from; n < size; ++n) {
+      if ((n - from) % kLearnCheckpoint == 0) check_cancelled();
+      if (!pending(n)) continue;
+      if (eng.stats().assumptions >= opts.max_assumptions) break;
+      const signed char v = evaluate(eng, n);
+      if (v >= 0) eng.pin(n, v != 0);
     }
-  }
+  };
+
+  // The speculative loop (see the header): returns when every node is
+  // tried, or after handing over to the serial loop at the budget.
+  const auto speculate = [&] {
+    const std::shared_ptr<Executor> exec = make_executor(parallel);
+    // Speculative engines evaluate with no assumption budget; the budget
+    // rule below decides whether that matches the serial loop.
+    ImplicationOptions spec_opts = opts;
+    spec_opts.max_assumptions = std::numeric_limits<std::size_t>::max();
+    struct Speculator {
+      Speculator(const Netlist& net, const std::vector<signed char>& base,
+                 const ImplicationOptions& o, std::size_t applied)
+          : eng(net, base, o), pins_applied(applied) {}
+      ImplicationEngine eng;
+      std::size_t pins_applied;  ///< prefix of `pins` this engine has
+    };
+    std::vector<std::unique_ptr<Speculator>> spec(exec->num_workers());
+    std::vector<std::pair<NodeId, bool>> pins;  // committed, in order
+    struct Outcome {
+      signed char value = -1;
+      ImplicationStats spent;
+    };
+    std::vector<NodeId> batch;
+    std::vector<Outcome> outcome(kLearnBatch);
+
+    for (NodeId next = 0;;) {
+      check_cancelled();
+      batch.clear();
+      for (NodeId n = next; n < size && batch.size() < kLearnBatch; ++n)
+        if (pending(n)) batch.push_back(n);
+      if (batch.empty()) return;
+
+      std::atomic<std::size_t> first_pin{batch.size()};
+      exec->parallel_for(batch.size(), [&](std::size_t i, unsigned worker) {
+        if (i > first_pin.load()) return;
+        std::unique_ptr<Speculator>& sp = spec[worker];
+        if (!sp)
+          sp = std::make_unique<Speculator>(net, eng.base(), spec_opts,
+                                            pins.size());
+        while (sp->pins_applied < pins.size()) {
+          const auto [n, v] = pins[sp->pins_applied++];
+          sp->eng.pin(n, v);
+        }
+        const ImplicationStats before = sp->eng.stats();
+        const signed char v = evaluate(sp->eng, batch[i]);
+        const ImplicationStats& after = sp->eng.stats();
+        outcome[i] = {v,
+                      {after.assumptions - before.assumptions,
+                       after.implications - before.implications,
+                       after.conflicts - before.conflicts, 0}};
+        if (v < 0) return;
+        std::size_t seen = first_pin.load();
+        while (i < seen && !first_pin.compare_exchange_weak(seen, i)) {
+        }
+      });
+
+      // Commit in node order, up to and including the first pin.
+      const std::size_t end = std::min(first_pin.load() + 1, batch.size());
+      for (std::size_t i = 0; i < end; ++i) {
+        const Outcome& o = outcome[i];
+        if (eng.stats().assumptions + o.spent.assumptions >=
+            opts.max_assumptions) {
+          serial(batch[i]);
+          return;
+        }
+        eng.charge(o.spent);
+        if (o.value >= 0) {
+          eng.pin(batch[i], o.value != 0);
+          pins.emplace_back(batch[i], o.value != 0);
+        }
+      }
+      next = batch[end - 1] + 1;
+    }
+  };
+
+  if (parallel.resolved() <= 1)
+    serial(0);
+  else
+    speculate();
   if (stats) *stats = eng.stats();
   return eng.base();
 }

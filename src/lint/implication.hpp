@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
+#include "util/thread_pool.hpp"
 
 namespace protest {
 
@@ -69,6 +70,11 @@ class ImplicationEngine {
   /// forward (consumers of a newly-constant net may become constant too).
   void pin(NodeId node, bool value);
 
+  /// Adds work done by another engine over the same base lattice (a
+  /// speculative evaluation learn_constants commits) to these stats, so
+  /// the assumption budget counts it as if it had been done here.
+  void charge(const ImplicationStats& spent);
+
   const std::vector<signed char>& base() const { return base_; }
   const ImplicationStats& stats() const { return stats_; }
 
@@ -93,6 +99,10 @@ class ImplicationEngine {
   std::vector<NodeId> trail_;      ///< nodes assigned since the assumption
   std::vector<NodeId> queue_;      ///< gates awaiting examination
   std::vector<char> queued_;
+  /// Unjustified gates per recursion depth, reused across assumptions:
+  /// close(d) recurses only into close(d - 1), so a depth's buffer is
+  /// never live twice.
+  std::vector<std::vector<NodeId>> unjustified_;
   std::size_t qhead_ = 0;
   std::size_t steps_ = 0;
   bool exhausted_ = false;  ///< per-assumption step budget ran out
@@ -103,8 +113,33 @@ class ImplicationEngine {
 /// constant the implication engine can learn within the budgets.  Sound:
 /// an entry != -1 is a proof the net carries that value on EVERY input
 /// vector.
+///
+/// Nodes are tried in id order; a node refuted at one value is pinned at
+/// the other, which changes the base every later node is tried against.
+/// A node's outcome depends only on that base and, through the
+/// max_assumptions checks, on the count of assumptions made before it.
+/// On more than one worker of `parallel` (0 = all hardware threads) the
+/// loop runs speculatively and commits exactly what the serial loop
+/// would:
+///   * evaluation — each worker owns an engine; they try a batch of the
+///     next pending nodes against the current base with no assumption
+///     budget, claiming nodes in increasing order and skipping those
+///     past the first node found constant;
+///   * commit rule — results commit in node order up to and including the
+///     first constant found; the next batch starts after it, and every
+///     engine pins it before evaluating again.  Only committed nodes'
+///     ImplicationStats count;
+///   * budget rule — a node commits only if the assumptions committed
+///     before it plus its own stay below max_assumptions (then no budget
+///     check could have fired in the serial loop either); otherwise the
+///     serial loop takes over from that node.
+/// So the lattice and the stats are bit-identical for every worker count.
+/// One worker runs the serial loop itself and speculates nothing.  A
+/// cancelled CancelScope stops it with OperationCancelled at the next
+/// batch (every few hundred nodes on one worker).
 std::vector<signed char> learn_constants(const Netlist& net,
                                          const ImplicationOptions& opts = {},
-                                         ImplicationStats* stats = nullptr);
+                                         ImplicationStats* stats = nullptr,
+                                         const ParallelConfig& parallel = {});
 
 }  // namespace protest

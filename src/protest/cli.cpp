@@ -777,9 +777,10 @@ void print_help(std::ostream& out) {
          "--engine selects the signal-probability engine: protest (default),\n"
          "naive, exact-bdd, exact-enum, monte-carlo.\n"
          "--threads T sizes the worker pool (Monte-Carlo pattern shards,\n"
-         "optimize neighborhood sweeps, fault simulation and the per-fault\n"
-         "analysis of lint --faults); 0 = all hardware threads (default),\n"
-         "1 = serial.  Results are bit-identical for every thread count.\n"
+         "optimize neighborhood sweeps, fault simulation, and the constant\n"
+         "learning and fault sweeps of lint --faults); 0 = all hardware\n"
+         "threads (default), 1 = serial.  Results are bit-identical for\n"
+         "every thread count.\n"
          "--json emits the analysis result as JSON instead of text.\n"
          "--artifacts (with --json) is a comma list choosing what to\n"
          "compute/serialize:\n"

@@ -1,20 +1,27 @@
 // The static fault analyzer: implication-engine learning, per-fault
 // classification on hand-built redundant circuits, interval soundness
-// against the exact BDD miter oracle, and the pruned/bounded consumers
-// (detection_probs_bounded, simulate_faults_pruned).
+// against the exact BDD miter oracle, the pruned/bounded consumers
+// (detection_probs_bounded, simulate_faults_pruned), and the differential
+// suite that pins the speculative learning loop and the site-grouped
+// sweeps to the serial loop and the per-fault sweep they replaced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "circuits/random_circuit.hpp"
 #include "circuits/zoo.hpp"
 #include "lint/fault_analyze.hpp"
+#include "lint/fold.hpp"
 #include "lint/implication.hpp"
+#include "lint/prob_bounds.hpp"
 #include "netlist/bench_io.hpp"
 #include "observe/detect.hpp"
 #include "observe/miter.hpp"
@@ -396,6 +403,474 @@ TEST(FaultSideGolden, MatchesTheSerialImplementation) {
         }
       }
       EXPECT_EQ(h.h, g.all) << where;
+    }
+  }
+}
+
+// --- oracles: the serial learning loop and the per-fault sweep --------------
+//
+// learn_constants speculates across workers and analyze_faults sweeps
+// whole fault groups at once; both must reproduce, bit for bit, the plain
+// loops below, which are the implementations they replaced.
+
+/// The serial learning loop: every non-input node in id order, refuted at
+/// 1 then at 0, pinned on the first refutation, until the assumption
+/// budget is spent.
+std::vector<signed char> oracle_learn_constants(const Netlist& net,
+                                                const ImplicationOptions& opts,
+                                                ImplicationStats* stats) {
+  ImplicationEngine eng(net, propagate_constants(net), opts);
+  for (NodeId n = 0; n < static_cast<NodeId>(net.size()); ++n) {
+    if (net.is_input(n)) continue;
+    if (eng.base()[n] >= 0) continue;
+    if (eng.stats().assumptions >= opts.max_assumptions) break;
+    if (eng.proves_conflict(n, true)) {
+      eng.pin(n, false);
+    } else if (eng.proves_conflict(n, false)) {
+      eng.pin(n, true);
+    }
+  }
+  if (stats) *stats = eng.stats();
+  return eng.base();
+}
+
+/// The per-fault analysis: one event sweep per fault, serial.
+class OracleAnalyzer {
+ public:
+  struct Iv {
+    double lo = 0.0;
+    double hi = 1.0;
+  };
+  struct Ev {
+    Iv iv;
+    std::uint64_t sig = 0;
+  };
+
+  OracleAnalyzer(const Netlist& net, const FaultAnalyzeOptions& opts)
+      : net_(net), opts_(opts), ev_(net.size()),
+        ev_epoch_(net.size(), 0), queued_epoch_(net.size(), 0) {
+    const InputProbs probs = opts.input_probs.empty()
+                                 ? uniform_input_probs(net, opts.p)
+                                 : opts.input_probs;
+    robust_ = propagate_constants(net);
+    learned_ = robust_;
+    if (opts.learn) {
+      ImplicationStats st;
+      learned_ = oracle_learn_constants(net, opts.implication, &st);
+      out_.learned_constants = st.learned;
+    }
+    sb_ = signal_prob_bounds(net, probs);
+    for (NodeId n = 0; n < static_cast<NodeId>(net.size()); ++n) {
+      if (learned_[n] < 0) continue;
+      sb_.lo[n] = sb_.hi[n] = static_cast<double>(learned_[n]);
+      sb_.sig[n] = 0;
+    }
+    const NodeId n = static_cast<NodeId>(net.size());
+    plain_reach_.assign(n, 0);
+    obs_reach_.assign(n, 0);
+    for (NodeId id = n; id-- > 0;) {
+      char plain = net.is_output(id) ? 1 : 0;
+      char obs = plain;
+      for (const NodeId c : net.fanout(id)) {
+        plain |= plain_reach_[c];
+        obs |= static_cast<char>(robust_[c] < 0 && obs_reach_[c]);
+      }
+      plain_reach_[id] = plain;
+      obs_reach_[id] = obs;
+    }
+  }
+
+  FaultAnalysis run(std::span<const Fault> faults) {
+    for (const Fault& f : faults) out_.bounds.push_back(analyze(f));
+    for (const FaultBound& b : out_.bounds) {
+      switch (b.verdict) {
+        case FaultClass::ProvenUndetectable:
+          ++out_.undetectable;
+          if (b.cause == UndetectableCause::Unexcitable)
+            ++out_.unexcitable;
+          else
+            ++out_.unobservable;
+          break;
+        case FaultClass::ProvenDetectable:
+          ++out_.detectable;
+          break;
+        case FaultClass::Uncertain:
+          ++out_.uncertain;
+          break;
+      }
+      if (b.truncated) ++out_.truncated_sweeps;
+    }
+    return out_;
+  }
+
+ private:
+  static std::uint64_t stem_bit(NodeId n) {
+    std::uint64_t z = n + 0x9E3779B97F4A7C15ull;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    z ^= z >> 31;
+    return 1ull << (z & 63u);
+  }
+  static Iv clamp01(Iv v) {
+    v.lo = std::clamp(v.lo, 0.0, 1.0);
+    v.hi = std::clamp(v.hi, 0.0, 1.0);
+    if (v.lo > v.hi) v.lo = v.hi;
+    return v;
+  }
+  static Iv and_frechet(Iv a, Iv b) {
+    return {std::max(0.0, a.lo + b.lo - 1.0), std::min(a.hi, b.hi)};
+  }
+  static FaultBound undetectable(UndetectableCause cause) {
+    return {0.0, 0.0, FaultClass::ProvenUndetectable, cause, false};
+  }
+
+  FaultBound analyze(const Fault& f) {
+    const NodeId site = f.is_stem() ? f.node : net_.gate(f.node).fanin[f.pin];
+    const Iv exc = f.sa == StuckAt::Zero
+                       ? Iv{sb_.lo[site], sb_.hi[site]}
+                       : Iv{1.0 - sb_.hi[site], 1.0 - sb_.lo[site]};
+    if (exc.hi <= 0.0) return undetectable(UndetectableCause::Unexcitable);
+    const bool origin_free = robust_[site] < 0;
+    if (f.is_stem()) {
+      if (origin_free ? !obs_reach_[f.node] : !plain_reach_[f.node])
+        return undetectable(UndetectableCause::Unobservable);
+    } else {
+      if (origin_free && robust_[f.node] >= 0)
+        return undetectable(UndetectableCause::Unobservable);
+      if (origin_free ? !obs_reach_[f.node] : !plain_reach_[f.node])
+        return undetectable(UndetectableCause::Unobservable);
+    }
+    return sweep(f, site, exc, origin_free);
+  }
+
+  Ev combine_single(NodeId gate, int pin, Ev e) {
+    const Gate& g = net_.gate(gate);
+    const GateType t = g.type;
+    if (t == GateType::Buf || t == GateType::Not || t == GateType::Xor ||
+        t == GateType::Xnor)
+      return e;
+    const bool need_one = t == GateType::And || t == GateType::Nand;
+    Iv sens{1.0, 1.0};
+    std::uint64_t sens_sig = 0;
+    for (std::size_t k = 0; k < g.fanin.size(); ++k) {
+      if (static_cast<int>(k) == pin) continue;
+      const NodeId f = g.fanin[k];
+      const Iv side = need_one ? Iv{sb_.lo[f], sb_.hi[f]}
+                               : Iv{1.0 - sb_.hi[f], 1.0 - sb_.lo[f]};
+      if ((sens_sig & sb_.sig[f]) == 0) {
+        sens.lo *= side.lo;
+        sens.hi *= side.hi;
+      } else {
+        ++out_.frechet_widened;
+        sens = and_frechet(sens, side);
+      }
+      sens_sig |= sb_.sig[f];
+    }
+    Ev out;
+    if ((e.sig & sens_sig) == 0) {
+      out.iv = {e.iv.lo * sens.lo, e.iv.hi * sens.hi};
+    } else {
+      ++out_.frechet_widened;
+      out.iv = and_frechet(e.iv, sens);
+    }
+    out.iv = clamp01(out.iv);
+    out.sig = e.sig | sens_sig;
+    return out;
+  }
+
+  void mark(NodeId n, Ev e, double& det_lo, double& det_hi_sum) {
+    ev_[n] = e;
+    ev_epoch_[n] = epoch_;
+    if (net_.is_output(n)) {
+      det_lo = std::max(det_lo, e.iv.lo);
+      det_hi_sum += e.iv.hi;
+    }
+  }
+
+  void push_consumers(NodeId n) {
+    for (const NodeId c : net_.fanout(n)) {
+      if (queued_epoch_[c] != epoch_) {
+        queued_epoch_[c] = epoch_;
+        heap_.push_back(c);
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      }
+    }
+  }
+
+  FaultBound sweep(const Fault& f, NodeId site, Iv exc, bool origin_free) {
+    ++epoch_;
+    heap_.clear();
+    double det_lo = 0.0, det_hi_sum = 0.0;
+    const Ev origin{exc, sb_.sig[site] | stem_bit(site)};
+    if (f.is_stem()) {
+      mark(f.node, origin, det_lo, det_hi_sum);
+      push_consumers(f.node);
+    } else {
+      const Ev eg = combine_single(f.node, f.pin, origin);
+      if (eg.iv.hi <= 0.0) return undetectable(UndetectableCause::Unobservable);
+      mark(f.node, eg, det_lo, det_hi_sum);
+      push_consumers(f.node);
+    }
+    std::size_t visited = 0;
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      const NodeId c = heap_.back();
+      heap_.pop_back();
+      if (ev_epoch_[c] == epoch_) continue;
+      if (origin_free && robust_[c] >= 0) continue;
+      if (++visited > opts_.max_cone_nodes) {
+        FaultBound b{0.0, exc.hi, FaultClass::Uncertain,
+                     UndetectableCause::None, true};
+        if (b.hi <= 0.0) {
+          b.verdict = FaultClass::ProvenUndetectable;
+          b.cause = UndetectableCause::Unexcitable;
+        }
+        return b;
+      }
+      const Gate& g = net_.gate(c);
+      int affected_pins = 0;
+      int single_pin = -1;
+      std::vector<NodeId> drivers;
+      for (std::size_t k = 0; k < g.fanin.size(); ++k) {
+        const NodeId d = g.fanin[k];
+        if (ev_epoch_[d] != epoch_) continue;
+        ++affected_pins;
+        single_pin = static_cast<int>(k);
+        if (std::find(drivers.begin(), drivers.end(), d) == drivers.end())
+          drivers.push_back(d);
+      }
+      if (affected_pins == 0) continue;
+      Ev e;
+      if (affected_pins == 1) {
+        e = combine_single(c, single_pin, ev_[drivers[0]]);
+      } else {
+        ++out_.frechet_widened;
+        double hi = 0.0;
+        std::uint64_t sig = 0;
+        for (const NodeId d : drivers) {
+          hi += ev_[d].iv.hi;
+          sig |= ev_[d].sig;
+        }
+        for (const NodeId d : g.fanin) sig |= sb_.sig[d];
+        e.iv = clamp01({0.0, hi});
+        e.sig = sig;
+      }
+      if (e.iv.hi <= 0.0) continue;
+      mark(c, e, det_lo, det_hi_sum);
+      push_consumers(c);
+    }
+    Iv det{det_lo, std::min({1.0, det_hi_sum, exc.hi})};
+    det = clamp01(det);
+    FaultBound b{det.lo, det.hi, FaultClass::Uncertain,
+                 UndetectableCause::None, false};
+    if (det.hi <= 0.0) {
+      b.verdict = FaultClass::ProvenUndetectable;
+      b.cause = UndetectableCause::Unobservable;
+    } else if (det.lo > 0.0) {
+      b.verdict = FaultClass::ProvenDetectable;
+    }
+    return b;
+  }
+
+  const Netlist& net_;
+  const FaultAnalyzeOptions& opts_;
+  std::vector<signed char> robust_, learned_;
+  SignalProbBounds sb_;
+  std::vector<char> plain_reach_, obs_reach_;
+  std::vector<Ev> ev_;
+  std::vector<std::uint32_t> ev_epoch_, queued_epoch_;
+  std::uint32_t epoch_ = 0;
+  std::vector<NodeId> heap_;
+  FaultAnalysis out_;
+};
+
+FaultAnalysis oracle_analyze_faults(const Netlist& net,
+                                    std::span<const Fault> faults,
+                                    const FaultAnalyzeOptions& opts) {
+  return OracleAnalyzer(net, opts).run(faults);
+}
+
+// --- differential suite -----------------------------------------------------
+
+/// Streams `parts` into one string (test labels and generated netlists).
+template <typename... T>
+std::string cat(const T&... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  return os.str();
+}
+
+/// `net` with constant fanins wired into some gates: a controlling one
+/// (AND/NAND get CONST0, OR/NOR CONST1) into every 11th such gate, which
+/// makes robust constants and so fault groups whose origin is not
+/// robust-free, and a non-controlling one into every 7th.
+Netlist inject_constants(const Netlist& net) {
+  std::istringstream in(write_bench_string(net));
+  std::string out = "kc0 = CONST0()\nkc1 = CONST1()\n";
+  std::size_t gate = 0;
+  for (std::string line; std::getline(in, line);) {
+    const bool and_like = line.find("= AND(") != std::string::npos ||
+                          line.find("= NAND(") != std::string::npos;
+    const bool or_like = line.find("= OR(") != std::string::npos ||
+                         line.find("= NOR(") != std::string::npos;
+    if (and_like || or_like) {
+      ++gate;
+      const char* controlling = and_like ? "kc0" : "kc1";
+      const char* passive = and_like ? "kc1" : "kc0";
+      const char* extra = gate % 11 == 0  ? controlling
+                          : gate % 7 == 0 ? passive
+                                          : nullptr;
+      if (extra != nullptr) line.insert(line.rfind(')'), cat(", ", extra));
+    }
+    out += line;
+    out += '\n';
+  }
+  return read_bench_string(out);
+}
+
+/// A `depth`-deep chain c_i = AND/NAND(c_{i-1}, a_i) over fresh inputs
+/// (alternating), each link tapped by an output XOR(c_i, c_{i-1}).  Side
+/// inputs are fanout-free, so every event step is an exact product and an
+/// event halves per link at p = 0.5: it underflows to 0 some 1075 links
+/// from its origin, at a depth that depends on the event's magnitude, so
+/// the faults of one gate disagree there.  The taps make the disagreement
+/// matter: a tap whose two drivers are both affected takes the union
+/// bound, with one affected driver it passes the event through.
+Netlist lane_divergence_chain(std::size_t depth) {
+  std::ostringstream src;
+  for (std::size_t i = 0; i <= depth; ++i) src << "INPUT(a" << i << ")\n";
+  src << "OUTPUT(c" << depth << ")\n";
+  for (std::size_t i = 1; i <= depth; ++i) src << "OUTPUT(t" << i << ")\n";
+  src << "c0 = BUF(a0)\n";
+  for (std::size_t i = 1; i <= depth; ++i) {
+    src << 'c' << i << (i % 2 ? " = AND(c" : " = NAND(c") << i - 1 << ", a" << i
+        << ")\n";
+    src << 't' << i << " = XOR(c" << i << ", c" << i - 1 << ")\n";
+  }
+  return read_bench_string(src.str());
+}
+
+/// Every netlist of the differential suite.
+std::vector<std::pair<std::string, Netlist>> differential_corpus() {
+  std::vector<std::pair<std::string, Netlist>> out;
+  for (const char* name : {"c17", "alu", "mult", "comp", "sn7485", "mult8"})
+    out.emplace_back(name, make_circuit(name));
+  const char* data = std::getenv("PROTEST_DATA");
+  EXPECT_NE(data, nullptr) << "PROTEST_DATA not set (see CMakeLists.txt)";
+  if (data != nullptr)
+    for (const char* f :
+         {"c17", "alu74181", "cla74182", "add74283", "par74280"})
+      out.emplace_back(f, read_bench_file(std::string(data) + "/" + f +
+                                          ".bench"));
+  out.emplace_back("stress1k",
+                   make_random_circuit(stress_circuit_params(1000)));
+  out.emplace_back("stress2k",
+                   make_random_circuit(stress_circuit_params(2000)));
+  out.emplace_back("alu+const", inject_constants(make_circuit("alu")));
+  out.emplace_back("mult8+const", inject_constants(make_circuit("mult8")));
+  out.emplace_back("stress1k+const", inject_constants(make_random_circuit(
+                                         stress_circuit_params(1000))));
+  out.emplace_back("chain1200", lane_divergence_chain(1200));
+  return out;
+}
+
+/// The thread settings every differential runs at.
+std::vector<std::pair<std::string, ParallelConfig>> thread_settings() {
+  std::vector<std::pair<std::string, ParallelConfig>> out;
+  for (const unsigned threads : {1u, 2u, 3u, 7u}) {
+    ParallelConfig pc;
+    pc.num_threads = threads;
+    out.emplace_back(cat('@', threads), pc);
+  }
+  ParallelConfig shared;
+  shared.executor = std::make_shared<Executor>(3u);
+  out.emplace_back("@shared", shared);
+  return out;
+}
+
+void expect_same_stats(const ImplicationStats& a, const ImplicationStats& b,
+                       const std::string& where) {
+  EXPECT_EQ(a.assumptions, b.assumptions) << where;
+  EXPECT_EQ(a.implications, b.implications) << where;
+  EXPECT_EQ(a.conflicts, b.conflicts) << where;
+  EXPECT_EQ(a.learned, b.learned) << where;
+}
+
+TEST(LearnDifferential, MatchesTheSerialLoopForEveryBudgetAndThreadCount) {
+  // max_assumptions 0 and 1 stop the serial loop at once and inside the
+  // first node; 100 and 1000 run out mid-netlist, so the speculative loop
+  // must hand over to the serial one at the right node.
+  for (const auto& [name, net] : differential_corpus()) {
+    for (const std::size_t budget :
+         {std::size_t{0}, std::size_t{1}, std::size_t{100}, std::size_t{1000},
+          ImplicationOptions{}.max_assumptions}) {
+      ImplicationOptions io;
+      io.max_assumptions = budget;
+      ImplicationStats want_stats;
+      const std::vector<signed char> want =
+          oracle_learn_constants(net, io, &want_stats);
+      for (const auto& [label, pc] : thread_settings()) {
+        const std::string where =
+            cat(name, " max_assumptions ", budget, ' ', label);
+        ImplicationStats got_stats;
+        EXPECT_EQ(learn_constants(net, io, &got_stats, pc), want) << where;
+        expect_same_stats(got_stats, want_stats, where);
+      }
+    }
+  }
+}
+
+TEST(SweepDifferential, MatchesThePerFaultSweepForEveryConeBudget) {
+  // Budgets 1 and 2 truncate nearly every sweep at its first nodes, 64
+  // some, 2048 few; on the chain, a budget past its depth lets sweeps run
+  // on to where the lanes of one gate underflow at different links.  The
+  // structural (uncollapsed) lists, with more faults per gate, run at 1
+  // and 3 threads.
+  for (const auto& [name, net] : differential_corpus()) {
+    for (const bool collapsed : {true, false}) {
+      if (!collapsed && name == "stress2k") continue;  // stress1k covers it
+      const std::vector<Fault> faults =
+          collapsed ? collapsed_fault_list(net) : full_fault_list(net);
+      std::vector<std::size_t> budgets = {1, 2, 64, 2048};
+      if (name == "chain1200") {
+        budgets.push_back(std::size_t{1} << 20);
+        if (!collapsed) budgets = {64, std::size_t{1} << 20};
+      }
+      for (const std::size_t budget : budgets) {
+        FaultAnalyzeOptions fo;
+        fo.max_cone_nodes = budget;
+        // Bounded learning keeps the big netlists quick; the learning
+        // differential above covers the full budget.
+        fo.implication.max_assumptions = 2000;
+        const FaultAnalysis want = oracle_analyze_faults(net, faults, fo);
+        for (const auto& [label, pc] : thread_settings()) {
+          if (!collapsed && label != "@1" && label != "@3") continue;
+          fo.parallel = pc;
+          expect_same_analysis(
+              want, analyze_faults(net, faults, fo),
+              cat(name, collapsed ? " collapsed" : " full",
+                  " max_cone_nodes ", budget, ' ', label));
+        }
+      }
+    }
+  }
+}
+
+TEST(SweepDifferential, ChainMatchesUnderBiasedTuples) {
+  // Biased tuples move the links where events underflow: at p = 0.3 an
+  // event shrinks ~1.7 bits per link and at 0.4 ~1.3 bits, so both still
+  // underflow inside the chain.
+  const Netlist net = lane_divergence_chain(1200);
+  const std::vector<Fault> faults = full_fault_list(net);
+  FaultAnalyzeOptions fo;
+  fo.max_cone_nodes = std::size_t{1} << 20;
+  for (const double p : {0.3, 0.4}) {
+    fo.p = p;
+    const FaultAnalysis want = oracle_analyze_faults(net, faults, fo);
+    for (const unsigned threads : {1u, 3u}) {
+      fo.parallel.num_threads = threads;
+      expect_same_analysis(want, analyze_faults(net, faults, fo),
+                           cat("chain p ", p, " @", threads));
     }
   }
 }

@@ -17,6 +17,7 @@
 #include "circuits/random_circuit.hpp"
 #include "circuits/zoo.hpp"
 #include "lint/fault_analyze.hpp"
+#include "lint/implication.hpp"
 #include "optimize/hill_climb.hpp"
 #include "optimize/objective.hpp"
 #include "prob/engine.hpp"
@@ -199,6 +200,41 @@ TEST(FaultSideCancel, MidFlightCancelStopsTheFaultSimulation) {
                                two_workers),
                OperationCancelled);
   canceller.join();
+}
+
+TEST(FaultSideCancel, CancelledConstantLearningStops) {
+  // Pre-cancelled, constant learning stops at its first checkpoint: on
+  // one worker inside the serial loop, on three at the first batch.
+  const Netlist net = make_circuit("alu");
+  const CancelToken token = CancelToken::source();
+  token.request_cancel();
+  const CancelScope scope(token);
+  for (const unsigned threads : {1u, 3u}) {
+    ParallelConfig pc;
+    pc.num_threads = threads;
+    EXPECT_THROW(learn_constants(net, {}, nullptr, pc), OperationCancelled)
+        << threads;
+  }
+}
+
+TEST(FaultSideCancel, MidFlightCancelStopsConstantLearning) {
+  // Learning a 20k-gate stress netlist takes seconds serially, far longer
+  // than the cancellation delay: without the checkpoints in the learning
+  // loops the call would finish and return a lattice.
+  const Netlist net = make_random_circuit(stress_circuit_params(20'000));
+  for (const unsigned threads : {1u, 3u}) {
+    ParallelConfig pc;
+    pc.num_threads = threads;
+    const CancelToken token = CancelToken::source();
+    std::thread canceller([&] {
+      std::this_thread::sleep_for(20ms);
+      token.request_cancel();
+    });
+    const CancelScope scope(token);
+    EXPECT_THROW(learn_constants(net, {}, nullptr, pc), OperationCancelled)
+        << threads;
+    canceller.join();
+  }
 }
 
 // --- the job manager --------------------------------------------------------
@@ -433,6 +469,46 @@ TEST(ServiceJobs, CancelledOptimizeReportsCancelled) {
       "{\"verb\":\"wait\",\"id\":5,\"job\":" + std::to_string(job) + "}"));
   EXPECT_EQ(waited.at("state").as_string(), "cancelled");
   EXPECT_EQ(waited.find("response"), nullptr);
+}
+
+TEST(ServiceJobs, CancelledFaultBoundsAnalyzeStopsWhileLearning) {
+  // An analyze job with fault_bounds on the 100k-gate stress netlist:
+  // serial constant learning alone takes over ten seconds there in a
+  // Release build.  The cancel must land inside it — at a learning
+  // checkpoint, not after the learning — and poll must report
+  // `cancelled` with no response member.
+  ServiceConfig cfg;
+  cfg.parallel.num_threads = 1;
+  ProtestService service(cfg);
+  ASSERT_TRUE(ServiceResponse::from_json(
+                  service.handle_line(
+                      "{\"verb\":\"load_netlist\",\"id\":1,\"netlist\":\"s\","
+                      "\"circuit\":\"stress100k\",\"engine\":\"naive\"}"))
+                  .ok);
+  const JsonValue submit = result_of(service.handle_line(
+      "{\"verb\":\"submit\",\"id\":2,\"request\":{\"verb\":\"analyze\","
+      "\"id\":3,\"netlist\":\"s\",\"p\":0.5,"
+      "\"artifacts\":[\"fault_bounds\"]}}"));
+  const std::uint64_t job =
+      static_cast<std::uint64_t>(submit.at("job").as_number());
+
+  std::this_thread::sleep_for(50ms);  // let the job get into learning
+  const auto cancelled_at = std::chrono::steady_clock::now();
+  result_of(service.handle_line(
+      "{\"verb\":\"cancel\",\"id\":4,\"job\":" + std::to_string(job) + "}"));
+  const JsonValue waited = result_of(service.handle_line(
+      "{\"verb\":\"wait\",\"id\":5,\"job\":" + std::to_string(job) + "}"));
+  const auto stopped_after = std::chrono::steady_clock::now() - cancelled_at;
+  EXPECT_EQ(waited.at("state").as_string(), "cancelled");
+  EXPECT_EQ(waited.find("response"), nullptr);
+  // Generous for sanitizer builds, where one checkpoint interval takes
+  // longer; far below the rest of the learning in any build.
+  EXPECT_LT(stopped_after, 5s);
+
+  const JsonValue polled = result_of(service.handle_line(
+      "{\"verb\":\"poll\",\"id\":6,\"job\":" + std::to_string(job) + "}"));
+  EXPECT_EQ(polled.at("state").as_string(), "cancelled");
+  EXPECT_EQ(polled.find("response"), nullptr);
 }
 
 TEST(ServiceJobs, ShutdownCancelsOutstandingJobs) {
