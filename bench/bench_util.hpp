@@ -7,9 +7,14 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "analysis/table.hpp"
 #include "protest/protest.hpp"
@@ -136,23 +141,50 @@ inline std::string head_commit(const std::string& git_dir) {
   return "unknown";
 }
 
-/// Records the machine a run was measured on: hardware threads, CPU
-/// model, compiler, build type and the commit of the checkout the bench
-/// was built from.
+/// CPUs the calling thread may run on, as a list ("0-3,6"); "unknown"
+/// where the platform does not say.
+inline std::string affinity_list() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) != 0) return "unknown";
+  std::string out;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (!CPU_ISSET(c, &set) || (c > 0 && CPU_ISSET(c - 1, &set))) continue;
+    int last = c;
+    while (last + 1 < CPU_SETSIZE && CPU_ISSET(last + 1, &set)) ++last;
+    if (!out.empty()) out += ',';
+    out += std::to_string(c);
+    if (last > c) out += '-' + std::to_string(last);
+  }
+  return out;
+#else
+  return "unknown";
+#endif
+}
+
+/// Records the machine a run was measured on: hardware threads, physical
+/// cores (distinct package/core pairs in /proc/cpuinfo, 0 when it lists
+/// none), the CPUs the bench's threads may run on (it pins none itself;
+/// this is the mask it inherits), CPU model, compiler, build type and the
+/// commit of the checkout the bench was built from.
 inline void record_machine(BenchJson& json) {
   json.metric("hardware_threads",
               static_cast<double>(std::thread::hardware_concurrency()));
-  std::string cpu = "unknown";
+  std::string cpu = "unknown", package;
+  std::set<std::string> cores;
   std::ifstream cpuinfo("/proc/cpuinfo");
-  for (std::string line; std::getline(cpuinfo, line);)
-    if (line.rfind("model name", 0) == 0) {
-      const auto colon = line.find(':');
-      if (colon != std::string::npos) {
-        cpu = line.substr(colon + 1);
-        cpu.erase(0, cpu.find_first_not_of(" \t"));
-      }
-      break;
-    }
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const auto colon = line.find(':');
+    if (colon == std::string::npos) continue;
+    std::string value = line.substr(colon + 1);
+    value.erase(0, value.find_first_not_of(" \t"));
+    if (line.rfind("model name", 0) == 0 && cpu == "unknown") cpu = value;
+    if (line.rfind("physical id", 0) == 0) package = value;
+    if (line.rfind("core id", 0) == 0) cores.insert(package + "/" + value);
+  }
+  json.metric("physical_cores", static_cast<double>(cores.size()));
+  json.info("affinity", affinity_list());
   json.info("cpu_model", cpu);
 #if defined(__clang__)
   json.info("compiler", std::string("clang ") + __clang_version__);

@@ -16,14 +16,23 @@
 // (simulate_faults_pruned's built-in 6-sigma oracle).  Optional
 // --min-settled / --min-speedup floors serve as CI regression guards.
 //
-// Constant learning, the analysis and the pruned FirstDetection run are
-// each timed serially (1 thread) and on every hardware thread: learning
-// speculates across workers, the other two partition the fault list.  The
-// two runs of each must agree bit for bit, and --min-thread-speedup
-// floors the threaded speed-up of each.  The
-// floor is skipped (and says so) on a machine with one hardware thread.
-// The machine record (hardware threads, CPU, compiler, build type,
+// Constant learning, the analysis, the pruned FirstDetection run and the
+// grading simulation (CountDetections at 1024 patterns on the two 5k-gate
+// stress netlists, structure seeds 1 and 2, as the fault-grade benchmark
+// workload runs it) are each timed serially (1 thread) and on every
+// hardware thread: learning speculates across workers, the analysis
+// partitions the fault list and the simulations partition the fanout-free
+// region stems.  The two runs of each must agree bit for bit, and
+// --min-thread-speedup floors the threaded speed-up of each.  The floor is
+// skipped (and says so) on a machine with one hardware thread.
+//
+// Timing protocol: every hardware thread first spins on a throwaway pool
+// (on some virtual machines a process's first pool shares one CPU for its
+// first second or so), then every layer reports the best of `reps` runs.
+// The bench pins no thread; the machine record (hardware threads,
+// physical cores, the inherited affinity mask, CPU, compiler, build type,
 // commit) goes into the JSON next to the numbers.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,6 +45,7 @@
 #include "lint/fault_analyze.hpp"
 #include "lint/implication.hpp"
 #include "sim/fault_sim.hpp"
+#include "util/executor.hpp"
 
 namespace protest {
 namespace {
@@ -46,6 +56,16 @@ double best_seconds(int reps, F&& f) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) best = std::min(best, bench::time_seconds(f));
   return best;
+}
+
+/// Keeps `threads` workers busy for ~0.3 s each on a pool of their own.
+void warm_up_cpus(unsigned threads) {
+  Executor(threads).parallel_for(threads, [](std::size_t, unsigned) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  });
 }
 
 ParallelConfig threads_config(unsigned threads) {
@@ -101,6 +121,9 @@ int main(int argc, char** argv) {
   bench::record_machine(json);
   const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
   json.metric("threads", threads);
+  const int reps = quick ? 3 : 2;
+  json.metric("reps", reps);
+  warm_up_cpus(threads);
 
   const std::size_t num_gates = quick ? 10'000 : 100'000;
   const Netlist net = make_random_circuit(stress_circuit_params(num_gates));
@@ -112,16 +135,13 @@ int main(int argc, char** argv) {
 
   // --- constant learning ----------------------------------------------------
   // The implication engine's pass alone (analyze_faults runs it first).
-  // Best of two: the threaded run is the process's first pool, and on
-  // some virtual machines a fresh pool's threads share one CPU for the
-  // first second or so.
   ImplicationStats learn_serial_stats, learn_stats;
   std::vector<signed char> learned_serial, learned;
-  const double t_learn_serial = best_seconds(2, [&] {
+  const double t_learn_serial = best_seconds(reps, [&] {
     learned_serial =
         learn_constants(net, {}, &learn_serial_stats, threads_config(1));
   });
-  const double t_learn = best_seconds(2, [&] {
+  const double t_learn = best_seconds(reps, [&] {
     learned = learn_constants(net, {}, &learn_stats, threads_config(threads));
   });
   const double learn_thread_speedup =
@@ -147,10 +167,10 @@ int main(int argc, char** argv) {
   FaultAnalyzeOptions serial_opts, threaded_opts;
   serial_opts.parallel = threads_config(1);
   threaded_opts.parallel = threads_config(threads);
-  const double t_analyze_serial = bench::time_seconds(
-      [&] { fa_serial = analyze_faults(net, faults, serial_opts); });
-  const double t_analyze = bench::time_seconds(
-      [&] { fa = analyze_faults(net, faults, threaded_opts); });
+  const double t_analyze_serial = best_seconds(
+      reps, [&] { fa_serial = analyze_faults(net, faults, serial_opts); });
+  const double t_analyze = best_seconds(
+      reps, [&] { fa = analyze_faults(net, faults, threaded_opts); });
   const double analyze_thread_speedup =
       t_analyze > 0.0 ? t_analyze_serial / t_analyze : 0.0;
   const bool analyze_identical = same_analysis(fa_serial, fa);
@@ -194,7 +214,6 @@ int main(int argc, char** argv) {
 
   // --- fault-sim pruning ----------------------------------------------------
   const std::size_t num_patterns = quick ? 4096 : 16384;
-  const int reps = quick ? 1 : 3;
   const PatternSet ps =
       PatternSet::random(net.inputs().size(), num_patterns, /*seed=*/1985);
   json.metric("fault_sim.patterns", static_cast<double>(num_patterns));
@@ -234,6 +253,44 @@ int main(int argc, char** argv) {
               t_pruned, threads, t_pruned_threaded, sim_thread_speedup,
               sim_identical ? "bit-identical" : "DIFFERENT");
 
+  // --- grading simulation ---------------------------------------------------
+  // The simulation of a fault-grade request: CountDetections at 1024
+  // patterns, pruned by the netlist's own analysis (built untimed).
+  double t_grade_serial = 0.0, t_grade = 0.0;
+  std::size_t grade_faults = 0;
+  bool grade_identical = true;
+  for (const std::uint64_t seed : {1u, 2u}) {
+    const Netlist gnet = make_random_circuit(stress_circuit_params(5000, seed));
+    const std::vector<Fault> gfaults = collapsed_fault_list(gnet);
+    const FaultAnalysis gfa = analyze_faults(gnet, gfaults, threaded_opts);
+    const PatternSet gps =
+        PatternSet::random(gnet.inputs().size(), 1024, /*seed=*/seed);
+    FaultSimResult gs_serial, gs;
+    t_grade_serial += best_seconds(reps, [&] {
+      gs_serial = simulate_faults_pruned(
+          gnet, gfaults, gps, FaultSimMode::CountDetections, gfa, serial);
+    });
+    t_grade += best_seconds(reps, [&] {
+      gs = simulate_faults_pruned(gnet, gfaults, gps,
+                                  FaultSimMode::CountDetections, gfa, all);
+    });
+    grade_identical = grade_identical &&
+                      gs.detect_count == gs_serial.detect_count &&
+                      gs.first_detect == gs_serial.first_detect;
+    grade_faults += gfaults.size();
+  }
+  const double grade_thread_speedup =
+      t_grade > 0.0 ? t_grade_serial / t_grade : 0.0;
+  json.metric("grade_sim.faults", static_cast<double>(grade_faults));
+  json.metric("grade_sim.serial_seconds", t_grade_serial);
+  json.metric("grade_sim.threaded_seconds", t_grade);
+  json.metric("grade_sim.thread_speedup", grade_thread_speedup);
+  std::printf(
+      "grading sim (2 x 5k gates, %zu faults, 1024 patterns, count mode): "
+      "serial %.3fs, %u threads %.3fs (%.2fx, %s)\n",
+      grade_faults, t_grade_serial, threads, t_grade, grade_thread_speedup,
+      grade_identical ? "bit-identical" : "DIFFERENT");
+
   // --- soundness gates ------------------------------------------------------
   // 1. The plain simulator must agree fault-by-fault: proven-undetectable
   //    faults are never detected, everything else is bit-identical.
@@ -249,9 +306,9 @@ int main(int argc, char** argv) {
               static_cast<double>(contradicted));
   json.metric("soundness.first_detect_mismatches",
               static_cast<double>(mismatched));
-  json.metric("soundness.threads_identical",
-              learn_identical && analyze_identical && sim_identical ? 1.0
-                                                                    : 0.0);
+  const bool threads_identical =
+      learn_identical && analyze_identical && sim_identical && grade_identical;
+  json.metric("soundness.threads_identical", threads_identical ? 1.0 : 0.0);
 
   // 2. The 6-sigma interval oracle on a CountDetections run (a subset
   //    keeps the quadratic-ish count mode affordable at full size).
@@ -292,13 +349,15 @@ int main(int argc, char** argv) {
                  mismatched);
     return 1;
   }
-  if (!learn_identical || !analyze_identical || !sim_identical) {
+  if (!threads_identical) {
     std::fprintf(stderr,
                  "FAIL: the %u-thread run differs from the serial run "
-                 "(learning %s, analysis %s, pruned simulation %s)\n",
+                 "(learning %s, analysis %s, pruned simulation %s, grading "
+                 "simulation %s)\n",
                  threads, learn_identical ? "same" : "differs",
                  analyze_identical ? "same" : "differs",
-                 sim_identical ? "same" : "differs");
+                 sim_identical ? "same" : "differs",
+                 grade_identical ? "same" : "differs");
     return 1;
   }
   if (!oracle_ok) {
@@ -320,12 +379,15 @@ int main(int argc, char** argv) {
       std::printf("thread-speedup floor skipped: one hardware thread\n");
     } else if (learn_thread_speedup < min_thread_speedup ||
                analyze_thread_speedup < min_thread_speedup ||
-               sim_thread_speedup < min_thread_speedup) {
+               sim_thread_speedup < min_thread_speedup ||
+               grade_thread_speedup < min_thread_speedup) {
       std::fprintf(stderr,
                    "FAIL: %u-thread speed-up (learning %.2fx, analysis "
-                   "%.2fx, pruned sim %.2fx) below floor %.2fx\n",
+                   "%.2fx, pruned sim %.2fx, grading sim %.2fx) below floor "
+                   "%.2fx\n",
                    threads, learn_thread_speedup, analyze_thread_speedup,
-                   sim_thread_speedup, min_thread_speedup);
+                   sim_thread_speedup, grade_thread_speedup,
+                   min_thread_speedup);
       return 1;
     }
   }

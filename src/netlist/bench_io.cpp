@@ -286,7 +286,8 @@ void write_bench(std::ostream& out, const Netlist& net) {
   }
   for (NodeId n = 0; n < net.size(); ++n) {
     if (!names[n].empty()) continue;
-    std::string cand = "n" + std::to_string(n);
+    // Appended: see make_random_circuit on -Wrestrict.
+    std::string cand = std::string("n").append(std::to_string(n));
     while (used.contains(cand)) cand += "_";
     names[n] = std::move(cand);
     used.emplace(names[n], n);

@@ -124,7 +124,8 @@ NodeId Netlist::find(const std::string& name) const {
 std::string Netlist::name_of(NodeId n) const {
   const std::string& nm = gates_[n].name;
   if (!nm.empty()) return nm;
-  return "n" + std::to_string(n);
+  // Appended: see make_random_circuit on -Wrestrict.
+  return std::string("n").append(std::to_string(n));
 }
 
 }  // namespace protest

@@ -565,7 +565,10 @@ LintOptions lint_options_from(const ServiceRequest& req,
   for (const std::string& p : req.passes) {
     if (std::find(known.begin(), known.end(), p) == known.end()) {
       std::string msg = "unknown lint pass '" + p + "' (available:";
-      for (const std::string_view k : known) msg += " " + std::string(k);
+      for (const std::string_view k : known) {
+        msg += ' ';
+        msg += k;
+      }
       throw ServiceError("bad_request", msg + ")");
     }
   }

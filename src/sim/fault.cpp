@@ -142,7 +142,10 @@ std::vector<Fault> collapsed_fault_list(const Netlist& net) {
 
 std::string to_string(const Netlist& net, const Fault& f) {
   std::string s = net.name_of(f.node);
-  if (!f.is_stem()) s += "/" + std::to_string(f.pin);
+  if (!f.is_stem()) {
+    s += '/';
+    s += std::to_string(f.pin);
+  }
   s += f.sa == StuckAt::Zero ? " s-a-0" : " s-a-1";
   return s;
 }

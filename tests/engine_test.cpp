@@ -26,7 +26,7 @@ Netlist make_random_tree(std::uint64_t seed, std::size_t num_leaves = 12) {
   std::mt19937_64 rng(seed);
   std::vector<NodeId> pool;
   for (std::size_t i = 0; i < num_leaves; ++i)
-    pool.push_back(bld.input("i" + std::to_string(i)));
+    pool.push_back(bld.input(std::string("i").append(std::to_string(i))));
   const GateType kinds[] = {GateType::And,  GateType::Nand, GateType::Or,
                             GateType::Nor,  GateType::Xor,  GateType::Xnor,
                             GateType::Not,  GateType::Buf};

@@ -43,7 +43,8 @@ TEST(HillClimb, ImprovesObjectiveOnAsymmetricCircuit) {
   // for the sa-0 faults while keeping sa-1 detectable.
   NetlistBuilder bld;
   std::vector<NodeId> ins;
-  for (int i = 0; i < 6; ++i) ins.push_back(bld.input("i" + std::to_string(i)));
+  for (int i = 0; i < 6; ++i)
+    ins.push_back(bld.input(std::string("i").append(std::to_string(i))));
   bld.output(bld.andn(std::move(ins)), "y");
   const Netlist net = bld.build();
   ObjectiveEvaluator eval(net, structural_fault_list(net), 100);
