@@ -156,32 +156,6 @@ std::size_t SessionRegistry::num_resident() const {
 
 namespace {
 
-constexpr std::pair<ServiceVerb, std::string_view> kVerbNames[] = {
-    {ServiceVerb::LoadNetlist, "load_netlist"},
-    {ServiceVerb::Lint, "lint"},
-    {ServiceVerb::FaultBounds, "fault_bounds"},
-    {ServiceVerb::Analyze, "analyze"},
-    {ServiceVerb::Perturb, "perturb"},
-    {ServiceVerb::Optimize, "optimize"},
-    {ServiceVerb::Stats, "stats"},
-    {ServiceVerb::Evict, "evict"},
-    {ServiceVerb::Shutdown, "shutdown"},
-    {ServiceVerb::Submit, "submit"},
-    {ServiceVerb::Poll, "poll"},
-    {ServiceVerb::Wait, "wait"},
-    {ServiceVerb::Cancel, "cancel"},
-    {ServiceVerb::Jobs, "jobs"},
-};
-
-/// Strictly integral, non-negative number (doubles carry protocol
-/// integers; exact up to 2^53).
-std::uint64_t to_uint(const JsonValue& v) {
-  const double d = v.as_number();
-  if (!(d >= 0.0) || d != std::floor(d) || d > 9007199254740992.0)
-    throw std::runtime_error("expected a non-negative integer");
-  return static_cast<std::uint64_t>(d);
-}
-
 std::vector<double> to_number_list(const JsonValue& v) {
   std::vector<double> out;
   out.reserve(v.as_array().size());
@@ -239,21 +213,30 @@ void write_string_list(JsonWriter& w, std::string_view key,
   w.end_array();
 }
 
-}  // namespace
-
-std::string_view to_string(ServiceVerb verb) {
-  for (auto [v, name] : kVerbNames)
-    if (v == verb) return name;
-  return "?";
+/// The row named `name`, or null.
+const VerbRow* find_verb(std::string_view name) {
+  for (const VerbRow& row : verb_table())
+    if (row.name == name) return &row;
+  return nullptr;
 }
 
+}  // namespace
+
+std::uint64_t to_uint(const JsonValue& v) {
+  const double d = v.as_number();
+  if (!(d >= 0.0) || d != std::floor(d) || d > 9007199254740992.0)
+    throw std::runtime_error("expected a non-negative integer");
+  return static_cast<std::uint64_t>(d);
+}
+
+std::string_view to_string(ServiceVerb verb) { return verb_row(verb).name; }
+
 ServiceVerb verb_from_string(std::string_view name) {
-  for (auto [v, verb_name] : kVerbNames)
-    if (name == verb_name) return v;
+  if (const VerbRow* row = find_verb(name)) return row->verb;
   std::string known;
-  for (auto [v, verb_name] : kVerbNames) {
+  for (const VerbRow& row : verb_table()) {
     known += known.empty() ? "" : " ";
-    known += verb_name;
+    known += row.name;
   }
   throw ServiceError("unknown_verb", "unknown verb '" + std::string(name) +
                                          "' (available: " + known + ")");
@@ -506,51 +489,6 @@ InputProbs request_tuple(const ServiceRequest& req, const Netlist& net) {
   return uniform_input_probs(net, req.p.value_or(0.5));
 }
 
-void require_netlist_name(const ServiceRequest& req) {
-  if (req.netlist.empty())
-    throw ServiceError("bad_request",
-                       "verb '" + std::string(to_string(req.verb)) +
-                           "' requires a 'netlist' name");
-}
-
-std::uint64_t require_job_id(const ServiceRequest& req) {
-  if (!req.job)
-    throw ServiceError("bad_request",
-                       "verb '" + std::string(to_string(req.verb)) +
-                           "' requires a 'job' ticket id");
-  return *req.job;
-}
-
-/// Only the three WORK verbs run as jobs — the same class the pipelined
-/// front end fans out.  Job-control verbs nesting inside jobs would
-/// deadlock (a waiting job occupying the worker its target needs);
-/// shutdown must act on the serving loop directly; and the registry-
-/// mutating verbs (load_netlist/evict) plus stats are instant and must
-/// keep their deterministic ordering relative to the request stream —
-/// a ticketed load racing a pipelined analyze would reintroduce exactly
-/// the reordering hazard the barrier class rules out.
-bool submittable(ServiceVerb verb) {
-  switch (verb) {
-    case ServiceVerb::Analyze:
-    case ServiceVerb::Perturb:
-    case ServiceVerb::Optimize:
-    case ServiceVerb::Lint:
-    case ServiceVerb::FaultBounds:
-      return true;
-    case ServiceVerb::LoadNetlist:
-    case ServiceVerb::Stats:
-    case ServiceVerb::Evict:
-    case ServiceVerb::Shutdown:
-    case ServiceVerb::Submit:
-    case ServiceVerb::Poll:
-    case ServiceVerb::Wait:
-    case ServiceVerb::Cancel:
-    case ServiceVerb::Jobs:
-      return false;
-  }
-  return false;
-}
-
 /// Builds lint options from a request: pass subset + the prob-bounds
 /// input probability, with the fault passes on the server's shared
 /// executor.  Unknown pass names surface as bad_request.
@@ -596,345 +534,416 @@ std::string job_payload(const JobInfo& info) {
   return w.str();
 }
 
+/// `info`, or unknown_job for a ticket this service never issued.
+const JobInfo& known_job(const std::optional<JobInfo>& info, std::uint64_t id) {
+  if (!info)
+    throw ServiceError("unknown_job",
+                       "no job with ticket id " + std::to_string(id));
+  return *info;
+}
+
 }  // namespace
 
-std::string ProtestService::dispatch(const ServiceRequest& req) {
-  switch (req.verb) {
-    case ServiceVerb::LoadNetlist: {
-      require_netlist_name(req);
-      if (req.circuit.empty() == req.source.empty())
-        throw ServiceError("bad_request",
-                           "load_netlist requires exactly one of 'circuit' "
-                           "(registry name) or 'source' (netlist text)");
-      Netlist net = req.circuit.empty() ? netlist_from_text(req.source)
-                                        : make_circuit(req.circuit);
-      // Strict mode: the correctness gate for the served fleet — reject
-      // netlists with error-severity lint findings before they ever
-      // become resident.
-      LintReport lint_report;
-      if (req.strict) {
-        lint_report =
-            run_lint(net, lint_options_from(req, registry_.executor()));
-        if (lint_report.errors > 0) {
-          std::string first;
-          for (const LintDiagnostic& d : lint_report.diagnostics) {
-            if (d.severity == LintSeverity::Error) {
-              first = d.message;
-              break;
-            }
+/// The verb table's handlers, one per row: each returns its verb's result
+/// payload, and every request reaching one has passed check_request().
+struct VerbHandlers {
+  static std::string load_netlist(ProtestService& s,
+                                  const ServiceRequest& req) {
+    if (req.circuit.empty() == req.source.empty())
+      throw ServiceError("bad_request",
+                         "load_netlist requires exactly one of 'circuit' "
+                         "(registry name) or 'source' (netlist text)");
+    Netlist net = req.circuit.empty() ? netlist_from_text(req.source)
+                                      : make_circuit(req.circuit);
+    // Strict mode: the correctness gate for the served fleet — reject
+    // netlists with error-severity lint findings before they ever become
+    // resident.
+    LintReport lint_report;
+    if (req.strict) {
+      lint_report =
+          run_lint(net, lint_options_from(req, s.registry_.executor()));
+      if (lint_report.errors > 0) {
+        std::string first;
+        for (const LintDiagnostic& d : lint_report.diagnostics) {
+          if (d.severity == LintSeverity::Error) {
+            first = d.message;
+            break;
           }
-          throw ServiceError(
-              "lint_failed",
-              "strict load rejected '" + req.netlist + "': " +
-                  std::to_string(lint_report.errors) +
-                  " error-severity lint finding(s); first: " + first);
         }
+        throw ServiceError(
+            "lint_failed",
+            "strict load rejected '" + req.netlist + "': " +
+                std::to_string(lint_report.errors) +
+                " error-severity lint finding(s); first: " + first);
       }
-      SessionOptions opts = config_.session_defaults;
-      if (!req.engine.empty()) opts.engine = req.engine;
-      if (req.seed) opts.monte_carlo.seed = *req.seed;
-      if (req.patterns) opts.monte_carlo.num_patterns = *req.patterns;
-      if (req.max_cached_results)
-        opts.max_cached_results = *req.max_cached_results;
-      registry_.register_netlist(req.netlist, std::move(net), std::move(opts));
-      const std::shared_ptr<AnalysisSession> session =
-          registry_.open(req.netlist);
-      JsonWriter w(0);
+    }
+    SessionOptions opts = s.config_.session_defaults;
+    if (!req.engine.empty()) opts.engine = req.engine;
+    if (req.seed) opts.monte_carlo.seed = *req.seed;
+    if (req.patterns) opts.monte_carlo.num_patterns = *req.patterns;
+    if (req.max_cached_results)
+      opts.max_cached_results = *req.max_cached_results;
+    s.registry_.register_netlist(req.netlist, std::move(net), std::move(opts));
+    const std::shared_ptr<AnalysisSession> session =
+        s.registry_.open(req.netlist);
+    JsonWriter w(0);
+    w.begin_object();
+    w.key("netlist").value(req.netlist);
+    w.key("engine").value(session->engine().name());
+    const Netlist& n = session->netlist();
+    w.key("inputs").value(n.inputs().size());
+    w.key("outputs").value(n.outputs().size());
+    w.key("gates").value(n.num_gates());
+    w.key("faults").value(session->faults().size());
+    if (req.strict) {
+      session->record_lint(lint_report.errors, lint_report.warnings,
+                           lint_report.infos);
+      w.key("lint").begin_object();
+      w.key("errors").value(lint_report.errors);
+      w.key("warnings").value(lint_report.warnings);
+      w.key("infos").value(lint_report.infos);
+      w.end_object();
+    }
+    write_string_list(w, "resident", s.registry_.resident_names());
+    w.end_object();
+    return w.str();
+  }
+
+  static std::string lint(ProtestService& s, const ServiceRequest& req) {
+    const std::shared_ptr<AnalysisSession> session =
+        s.registry_.open(req.netlist);
+    const LintReport report = run_lint(
+        session->netlist(), lint_options_from(req, s.registry_.executor()));
+    session->record_lint(report.errors, report.warnings, report.infos);
+    JsonWriter w(0);
+    w.begin_object();
+    w.key("netlist").value(req.netlist);
+    w.key("report");
+    w.raw(report.to_json(0));
+    w.end_object();
+    return w.str();
+  }
+
+  static std::string fault_bounds(ProtestService& s,
+                                  const ServiceRequest& req) {
+    const std::shared_ptr<AnalysisSession> session =
+        s.registry_.open(req.netlist);
+    // Ride the session's memoized artifact: request ONLY fault_bounds so
+    // the analyze computes nothing else, then read the analysis off the
+    // result.  A repeat query on the same tuple is a cache hit.
+    AnalysisRequest artifacts;
+    for (const ArtifactName& a : artifact_name_table())
+      artifacts.*a.flag = false;
+    artifacts.fault_bounds = true;
+    const AnalysisResult res =
+        session->analyze(request_tuple(req, session->netlist()), artifacts);
+    const FaultAnalysis& fa = res.fault_bounds();
+    const std::vector<Fault>& faults = session->faults();
+    // Large netlists would otherwise dominate the response line; the
+    // summary always ships, the per-fault list is capped.
+    constexpr std::size_t kMaxFaultEntries = 4096;
+    const std::size_t shown = std::min(fa.bounds.size(), kMaxFaultEntries);
+    JsonWriter w(0);
+    w.begin_object();
+    w.key("netlist").value(req.netlist);
+    w.key("summary").begin_object();
+    w.key("faults").value(fa.bounds.size());
+    w.key("proven_undetectable").value(fa.undetectable);
+    w.key("unexcitable").value(fa.unexcitable);
+    w.key("unobservable").value(fa.unobservable);
+    w.key("proven_detectable").value(fa.detectable);
+    w.key("uncertain").value(fa.uncertain);
+    w.key("truncated_sweeps").value(fa.truncated_sweeps);
+    w.key("frechet_widened").value(fa.frechet_widened);
+    w.key("learned_constants").value(fa.learned_constants);
+    w.key("settled_fraction").value(fa.settled_fraction());
+    w.end_object();
+    w.key("faults").begin_array();
+    const Netlist& net = session->netlist();
+    for (std::size_t f = 0; f < shown; ++f) {
+      const FaultBound& b = fa.bounds[f];
       w.begin_object();
-      w.key("netlist").value(req.netlist);
+      w.key("fault").value(to_string(net, faults[f]));
+      w.key("lo").value(b.lo);
+      w.key("hi").value(b.hi);
+      w.key("verdict").value(to_string(b.verdict));
+      if (b.cause != UndetectableCause::None)
+        w.key("cause").value(to_string(b.cause));
+      if (b.truncated) w.key("truncated").value(true);
+      w.end_object();
+    }
+    w.end_array();
+    if (shown < fa.bounds.size()) w.key("faults_truncated").value(true);
+    w.end_object();
+    return w.str();
+  }
+
+  static std::string analyze(ProtestService& s, const ServiceRequest& req) {
+    const std::shared_ptr<AnalysisSession> session =
+        s.registry_.open(req.netlist);
+    return session
+        ->analyze(request_tuple(req, session->netlist()),
+                  req.artifacts.value_or(AnalysisRequest{}))
+        .to_json(0);
+  }
+
+  static std::string perturb(ProtestService& s, const ServiceRequest& req) {
+    const std::shared_ptr<AnalysisSession> session =
+        s.registry_.open(req.netlist);
+    // The base analyze is a cache hit when the client analyzed the tuple
+    // before — the resident-session payoff: the perturb then re-evaluates
+    // only the changed input's fanout cone.
+    const AnalysisResult base =
+        session->analyze(request_tuple(req, session->netlist()),
+                         req.artifacts.value_or(AnalysisRequest{}));
+    const AnalysisResult perturbed =
+        req.screen ? session->perturb_screen(base, req.input_index, req.new_p)
+                   : session->perturb(base, req.input_index, req.new_p);
+    return perturbed.to_json(0);
+  }
+
+  static std::string optimize(ProtestService& s, const ServiceRequest& req) {
+    const std::shared_ptr<AnalysisSession> session =
+        s.registry_.open(req.netlist);
+    const std::uint64_t n_param = req.n_parameter.value_or(10'000);
+    // A clone keeps the resident session's engine free for concurrent
+    // analyze callers (same reasoning as Protest::optimize).
+    const ObjectiveEvaluator eval(
+        std::shared_ptr<const SignalProbEngine>(session->engine().clone()),
+        session->faults(), n_param, session->options().observability,
+        session->options().parallel);
+    HillClimbOptions opts;
+    if (req.sweeps) opts.max_sweeps = *req.sweeps;
+    const HillClimbResult res = optimize_input_probs(eval, opts);
+    JsonWriter w(0);
+    w.begin_object();
+    w.key("netlist").value(req.netlist);
+    w.key("engine").value(session->engine().name());
+    w.key("n_parameter").value(n_param);
+    w.key("log_objective").value(res.log_objective);
+    w.key("evaluations").value(res.evaluations);
+    w.key("sweeps").value(static_cast<std::uint64_t>(res.sweeps));
+    w.key("optimized_probs").begin_array();
+    const Netlist& net = session->netlist();
+    const auto inputs = net.inputs();
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      w.begin_object();
+      w.key("input").value(net.name_of(inputs[i]));
+      w.key("p").value(res.probs[i]);
+      w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+    return w.str();
+  }
+
+  static std::string stats(ProtestService& s, const ServiceRequest& req) {
+    const SessionRegistry& registry = s.registry_;
+    const std::vector<std::string> registered = registry.registered_names();
+    JsonWriter w(0);
+    w.begin_object();
+    if (req.netlist.empty()) {  // registry overview
+      write_string_list(w, "registered", registered);
+      write_string_list(w, "resident", registry.resident_names());
+      w.key("max_resident").value(registry.max_resident());
+      w.key("executor_workers").value(registry.executor()->num_workers());
+      w.end_object();
+      return w.str();
+    }
+    // Named probe: never revives an evicted session (that would defeat
+    // the point of asking) and never touches LRU order.
+    if (std::find(registered.begin(), registered.end(), req.netlist) ==
+        registered.end())
+      throw ServiceError("unknown_netlist",
+                         "no netlist registered under '" + req.netlist + "'");
+    const std::shared_ptr<AnalysisSession> session =
+        registry.find_resident(req.netlist);
+    w.key("netlist").value(req.netlist);
+    w.key("resident").value(session != nullptr);
+    if (session) {
       w.key("engine").value(session->engine().name());
-      const Netlist& n = session->netlist();
-      w.key("inputs").value(n.inputs().size());
-      w.key("outputs").value(n.outputs().size());
-      w.key("gates").value(n.num_gates());
       w.key("faults").value(session->faults().size());
-      if (req.strict) {
-        session->record_lint(lint_report.errors, lint_report.warnings,
-                             lint_report.infos);
-        w.key("lint").begin_object();
-        w.key("errors").value(lint_report.errors);
-        w.key("warnings").value(lint_report.warnings);
-        w.key("infos").value(lint_report.infos);
-        w.end_object();
-      }
-      const std::vector<std::string> resident = registry_.resident_names();
-      write_string_list(w, "resident", resident);
-      w.end_object();
-      return w.str();
+      w.key("stats");
+      session->stats().write(w);
     }
+    w.end_object();
+    return w.str();
+  }
 
-    case ServiceVerb::Lint: {
-      require_netlist_name(req);
-      const std::shared_ptr<AnalysisSession> session =
-          registry_.open(req.netlist);
-      const LintReport report = run_lint(
-          session->netlist(), lint_options_from(req, registry_.executor()));
-      session->record_lint(report.errors, report.warnings, report.infos);
-      JsonWriter w(0);
+  static std::string evict(ProtestService& s, const ServiceRequest& req) {
+    const bool evicted = s.registry_.evict(req.netlist);
+    JsonWriter w(0);
+    w.begin_object();
+    w.key("netlist").value(req.netlist);
+    w.key("evicted").value(evicted);
+    w.end_object();
+    return w.str();
+  }
+
+  static std::string shutdown(ProtestService& s, const ServiceRequest&) {
+    s.shutdown_.store(true, std::memory_order_release);
+    // Unfinished jobs stop at their next checkpoint instead of pinning
+    // the daemon's exit on a long Monte-Carlo budget.
+    s.jobs_.cancel_all();
+    return "{\"shutting_down\":true}";
+  }
+
+  static std::string submit(ProtestService& s, const ServiceRequest& req) {
+    // The job re-enters handle(): the stored payload IS the synchronous
+    // verb's ServiceResponse, serialized compactly — which is what makes
+    // poll/wait byte-identical to the synchronous path.
+    const ServiceRequest inner = *req.subrequest;
+    const JobTicket ticket =
+        s.jobs_.submit(std::string(to_string(inner.verb)),
+                       [&s, inner] { return s.handle(inner).to_json(0); });
+    JsonWriter w(0);
+    w.begin_object();
+    w.key("job").value(ticket.id);
+    w.key("verb").value(to_string(inner.verb));
+    w.key("state").value(to_string(ticket.state));
+    w.end_object();
+    return w.str();
+  }
+
+  // The job verbs read `job` through value_or: check_request() has
+  // already rejected requests without one.
+  static std::string poll(ProtestService& s, const ServiceRequest& req) {
+    const std::uint64_t id = req.job.value_or(0);
+    return job_payload(known_job(s.jobs_.poll(id), id));
+  }
+
+  static std::string wait(ProtestService& s, const ServiceRequest& req) {
+    const std::uint64_t id = req.job.value_or(0);
+    std::optional<std::chrono::milliseconds> timeout;
+    if (req.timeout_ms) timeout = std::chrono::milliseconds(*req.timeout_ms);
+    return job_payload(known_job(s.jobs_.wait(id, timeout), id));
+  }
+
+  static std::string cancel(ProtestService& s, const ServiceRequest& req) {
+    const std::uint64_t id = req.job.value_or(0);
+    known_job(s.jobs_.poll(id), id);
+    // requested == false means the job had already finished — the result
+    // stands; a poll will return it.
+    const bool requested = s.jobs_.cancel(id);
+    JsonWriter w(0);
+    w.begin_object();
+    w.key("job").value(id);
+    w.key("requested").value(requested);
+    w.end_object();
+    return w.str();
+  }
+
+  static std::string jobs(ProtestService& s, const ServiceRequest&) {
+    JsonWriter w(0);
+    w.begin_object();
+    w.key("jobs").begin_array();
+    for (const JobInfo& j : s.jobs_.jobs()) {
       w.begin_object();
-      w.key("netlist").value(req.netlist);
-      w.key("report");
-      w.raw(report.to_json(0));
+      w.key("job").value(j.id);
+      w.key("verb").value(j.label);
+      w.key("state").value(to_string(j.state));
       w.end_object();
-      return w.str();
     }
+    w.end_array();
+    w.end_object();
+    return w.str();
+  }
+};
 
-    case ServiceVerb::FaultBounds: {
-      require_netlist_name(req);
-      const std::shared_ptr<AnalysisSession> session =
-          registry_.open(req.netlist);
-      // Ride the session's memoized artifact: request ONLY fault_bounds
-      // so the analyze computes nothing else, then read the analysis off
-      // the result.  A repeat query on the same tuple is a cache hit.
-      AnalysisRequest artifacts;
-      for (const ArtifactName& a : artifact_name_table())
-        artifacts.*a.flag = false;
-      artifacts.fault_bounds = true;
-      const AnalysisResult res =
-          session->analyze(request_tuple(req, session->netlist()), artifacts);
-      const FaultAnalysis& fa = res.fault_bounds();
-      const std::vector<Fault>& faults = session->faults();
-      // Large netlists would otherwise dominate the response line; the
-      // summary always ships, the per-fault list is capped.
-      constexpr std::size_t kMaxFaultEntries = 4096;
-      const std::size_t shown = std::min(fa.bounds.size(), kMaxFaultEntries);
-      JsonWriter w(0);
-      w.begin_object();
-      w.key("netlist").value(req.netlist);
-      w.key("summary").begin_object();
-      w.key("faults").value(fa.bounds.size());
-      w.key("proven_undetectable").value(fa.undetectable);
-      w.key("unexcitable").value(fa.unexcitable);
-      w.key("unobservable").value(fa.unobservable);
-      w.key("proven_detectable").value(fa.detectable);
-      w.key("uncertain").value(fa.uncertain);
-      w.key("truncated_sweeps").value(fa.truncated_sweeps);
-      w.key("frechet_widened").value(fa.frechet_widened);
-      w.key("learned_constants").value(fa.learned_constants);
-      w.key("settled_fraction").value(fa.settled_fraction());
-      w.end_object();
-      w.key("faults").begin_array();
-      const Netlist& net = session->netlist();
-      for (std::size_t f = 0; f < shown; ++f) {
-        const FaultBound& b = fa.bounds[f];
-        w.begin_object();
-        w.key("fault").value(to_string(net, faults[f]));
-        w.key("lo").value(b.lo);
-        w.key("hi").value(b.hi);
-        w.key("verdict").value(to_string(b.verdict));
-        if (b.cause != UndetectableCause::None)
-          w.key("cause").value(to_string(b.cause));
-        if (b.truncated) w.key("truncated").value(true);
-        w.end_object();
-      }
-      w.end_array();
-      if (shown < fa.bounds.size()) w.key("faults_truncated").value(true);
-      w.end_object();
-      return w.str();
-    }
+namespace {
 
-    case ServiceVerb::Analyze: {
-      require_netlist_name(req);
-      const std::shared_ptr<AnalysisSession> session =
-          registry_.open(req.netlist);
-      const AnalysisRequest artifacts =
-          req.artifacts.value_or(AnalysisRequest{});
-      return session
-          ->analyze(request_tuple(req, session->netlist()), artifacts)
-          .to_json(0);
-    }
+// Only work-class verbs run as jobs — the same class the pipelined front
+// end fans out.  Job-control verbs nesting inside jobs would deadlock (a
+// waiting job occupying the worker its target needs); shutdown must act
+// on the serving loop directly; and load_netlist/evict plus stats are
+// instant and keep their deterministic order in the request stream — a
+// ticketed load racing a pipelined analyze would reintroduce exactly the
+// reordering hazard the barrier class rules out.  Only idempotent reads
+// retry after a worker loss: optimize is stochastic and expensive, evict
+// mutates residency, and the rest are not routed through a retry at all.
+constexpr VerbRow kVerbTable[] = {
+    {ServiceVerb::LoadNetlist, "load_netlist", VerbClass::Barrier,
+     VerbNeeds::Netlist, false, VerbRoute::Load, &VerbHandlers::load_netlist},
+    {ServiceVerb::Lint, "lint", VerbClass::Work, VerbNeeds::Netlist, true,
+     VerbRoute::Home, &VerbHandlers::lint},
+    {ServiceVerb::FaultBounds, "fault_bounds", VerbClass::Work,
+     VerbNeeds::Netlist, true, VerbRoute::Home, &VerbHandlers::fault_bounds},
+    {ServiceVerb::Analyze, "analyze", VerbClass::Work, VerbNeeds::Netlist,
+     true, VerbRoute::Home, &VerbHandlers::analyze},
+    {ServiceVerb::Perturb, "perturb", VerbClass::Work, VerbNeeds::Netlist,
+     true, VerbRoute::Home, &VerbHandlers::perturb},
+    {ServiceVerb::Optimize, "optimize", VerbClass::Work, VerbNeeds::Netlist,
+     false, VerbRoute::Home, &VerbHandlers::optimize},
+    {ServiceVerb::Stats, "stats", VerbClass::Inline, VerbNeeds::Nothing, true,
+     VerbRoute::Stats, &VerbHandlers::stats},
+    {ServiceVerb::Evict, "evict", VerbClass::Barrier, VerbNeeds::Netlist,
+     false, VerbRoute::Home, &VerbHandlers::evict},
+    {ServiceVerb::Shutdown, "shutdown", VerbClass::Barrier, VerbNeeds::Nothing,
+     false, VerbRoute::Shutdown, &VerbHandlers::shutdown},
+    {ServiceVerb::Submit, "submit", VerbClass::Inline, VerbNeeds::Work, false,
+     VerbRoute::Submit, &VerbHandlers::submit},
+    {ServiceVerb::Poll, "poll", VerbClass::Inline, VerbNeeds::Job, false,
+     VerbRoute::Job, &VerbHandlers::poll},
+    {ServiceVerb::Wait, "wait", VerbClass::Inline, VerbNeeds::Job, false,
+     VerbRoute::Wait, &VerbHandlers::wait},
+    {ServiceVerb::Cancel, "cancel", VerbClass::Inline, VerbNeeds::Job, false,
+     VerbRoute::Job, &VerbHandlers::cancel},
+    {ServiceVerb::Jobs, "jobs", VerbClass::Inline, VerbNeeds::Nothing, false,
+     VerbRoute::Jobs, &VerbHandlers::jobs},
+};
 
-    case ServiceVerb::Perturb: {
-      require_netlist_name(req);
-      const std::shared_ptr<AnalysisSession> session =
-          registry_.open(req.netlist);
-      const AnalysisRequest artifacts =
-          req.artifacts.value_or(AnalysisRequest{});
-      // The base analyze is a cache hit when the client analyzed the
-      // tuple before — the resident-session payoff: the perturb then
-      // re-evaluates only the changed input's fanout cone.
-      const AnalysisResult base =
-          session->analyze(request_tuple(req, session->netlist()), artifacts);
-      const AnalysisResult perturbed =
-          req.screen
-              ? session->perturb_screen(base, req.input_index, req.new_p)
-              : session->perturb(base, req.input_index, req.new_p);
-      return perturbed.to_json(0);
-    }
+constexpr bool rows_in_enum_order() {
+  for (std::size_t i = 0; i < std::size(kVerbTable); ++i)
+    if (static_cast<std::size_t>(kVerbTable[i].verb) != i) return false;
+  return std::size(kVerbTable) ==
+         static_cast<std::size_t>(ServiceVerb::Jobs) + 1;
+}
+static_assert(rows_in_enum_order(), "one row per ServiceVerb, in enum order");
 
-    case ServiceVerb::Optimize: {
-      require_netlist_name(req);
-      const std::shared_ptr<AnalysisSession> session =
-          registry_.open(req.netlist);
-      const std::uint64_t n_param = req.n_parameter.value_or(10'000);
-      // A clone keeps the resident session's engine free for concurrent
-      // analyze callers (same reasoning as Protest::optimize).
-      const ObjectiveEvaluator eval(
-          std::shared_ptr<const SignalProbEngine>(session->engine().clone()),
-          session->faults(), n_param, session->options().observability,
-          session->options().parallel);
-      HillClimbOptions opts;
-      if (req.sweeps) opts.max_sweeps = *req.sweeps;
-      const HillClimbResult res = optimize_input_probs(eval, opts);
-      JsonWriter w(0);
-      w.begin_object();
-      w.key("netlist").value(req.netlist);
-      w.key("engine").value(session->engine().name());
-      w.key("n_parameter").value(n_param);
-      w.key("log_objective").value(res.log_objective);
-      w.key("evaluations").value(res.evaluations);
-      w.key("sweeps").value(static_cast<std::uint64_t>(res.sweeps));
-      w.key("optimized_probs").begin_array();
-      const Netlist& net = session->netlist();
-      const auto inputs = net.inputs();
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        w.begin_object();
-        w.key("input").value(net.name_of(inputs[i]));
-        w.key("p").value(res.probs[i]);
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
-      return w.str();
-    }
+}  // namespace
 
-    case ServiceVerb::Stats: {
-      JsonWriter w(0);
-      if (req.netlist.empty()) {
-        // Registry overview.
-        w.begin_object();
-        const std::vector<std::string> registered =
-            registry_.registered_names();
-        const std::vector<std::string> resident = registry_.resident_names();
-        write_string_list(w, "registered", registered);
-        write_string_list(w, "resident", resident);
-        w.key("max_resident").value(registry_.max_resident());
-        w.key("executor_workers").value(registry_.executor()->num_workers());
-        w.end_object();
-        return w.str();
-      }
-      // Named probe: never revives an evicted session (that would defeat
-      // the point of asking) and never touches LRU order.
-      const std::vector<std::string> registered = registry_.registered_names();
-      if (std::find(registered.begin(), registered.end(), req.netlist) ==
-          registered.end())
-        throw ServiceError("unknown_netlist",
-                           "no netlist registered under '" + req.netlist +
-                               "'");
-      const std::shared_ptr<AnalysisSession> session =
-          registry_.find_resident(req.netlist);
-      w.begin_object();
-      w.key("netlist").value(req.netlist);
-      w.key("resident").value(session != nullptr);
-      if (session) {
-        w.key("engine").value(session->engine().name());
-        w.key("faults").value(session->faults().size());
-        w.key("stats");
-        session->stats().write(w);
-      }
-      w.end_object();
-      return w.str();
-    }
+std::span<const VerbRow> verb_table() { return kVerbTable; }
 
-    case ServiceVerb::Evict: {
-      require_netlist_name(req);
-      const bool evicted = registry_.evict(req.netlist);
-      JsonWriter w(0);
-      w.begin_object();
-      w.key("netlist").value(req.netlist);
-      w.key("evicted").value(evicted);
-      w.end_object();
-      return w.str();
-    }
+const VerbRow& verb_row(ServiceVerb verb) {
+  return kVerbTable[static_cast<std::size_t>(verb)];
+}
 
-    case ServiceVerb::Shutdown: {
-      shutdown_.store(true, std::memory_order_release);
-      // Unfinished jobs stop at their next checkpoint instead of pinning
-      // the daemon's exit on a long Monte-Carlo budget.
-      jobs_.cancel_all();
-      JsonWriter w(0);
-      w.begin_object();
-      w.key("shutting_down").value(true);
-      w.end_object();
-      return w.str();
-    }
-
-    case ServiceVerb::Submit: {
+void check_request(const ServiceRequest& req) {
+  const std::string_view verb = to_string(req.verb);
+  const auto missing = [verb](const char* what) {
+    return ServiceError("bad_request", "verb '" + std::string(verb) +
+                                           "' requires " + what);
+  };
+  switch (verb_row(req.verb).needs) {
+    case VerbNeeds::Nothing:
+      return;
+    case VerbNeeds::Netlist:
+      if (req.netlist.empty()) throw missing("a 'netlist' name");
+      return;
+    case VerbNeeds::Job:
+      if (!req.job) throw missing("a 'job' ticket id");
+      return;
+    case VerbNeeds::Work:
       if (!req.subrequest)
         throw ServiceError("bad_request",
-                           "submit requires a 'request' object (the verb to "
-                           "run as a job)");
-      const ServiceRequest inner = *req.subrequest;
-      if (!submittable(inner.verb))
+                           std::string(verb) +
+                               " requires a 'request' object (the verb to "
+                               "run as a job)");
+      if (verb_row(req.subrequest->verb).line_class != VerbClass::Work) {
+        std::string work;
+        for (const VerbRow& row : kVerbTable) {
+          if (row.line_class != VerbClass::Work) continue;
+          work += work.empty() ? "" : "/";
+          work += row.name;
+        }
         throw ServiceError("bad_request",
-                           "verb '" + std::string(to_string(inner.verb)) +
-                               "' cannot run as a job (only the work verbs "
-                               "analyze/perturb/optimize are submittable)");
-      // The job re-enters handle(): the stored payload IS the synchronous
-      // verb's ServiceResponse, serialized compactly — which is what
-      // makes poll/wait byte-identical to the synchronous path.
-      const JobTicket ticket =
-          jobs_.submit(std::string(to_string(inner.verb)),
-                       [this, inner] { return handle(inner).to_json(0); });
-      JsonWriter w(0);
-      w.begin_object();
-      w.key("job").value(ticket.id);
-      w.key("verb").value(to_string(inner.verb));
-      w.key("state").value(to_string(ticket.state));
-      w.end_object();
-      return w.str();
-    }
-
-    case ServiceVerb::Poll:
-    case ServiceVerb::Wait: {
-      const std::uint64_t id = require_job_id(req);
-      const std::optional<JobInfo> info =
-          req.verb == ServiceVerb::Poll
-              ? jobs_.poll(id)
-              : jobs_.wait(id, req.timeout_ms
-                                   ? std::optional<std::chrono::milliseconds>(
-                                         std::chrono::milliseconds(
-                                             *req.timeout_ms))
-                                   : std::nullopt);
-      if (!info)
-        throw ServiceError("unknown_job",
-                           "no job with ticket id " + std::to_string(id));
-      return job_payload(*info);
-    }
-
-    case ServiceVerb::Cancel: {
-      const std::uint64_t id = require_job_id(req);
-      if (!jobs_.poll(id))
-        throw ServiceError("unknown_job",
-                           "no job with ticket id " + std::to_string(id));
-      // requested == false means the job had already finished — the
-      // result stands; a poll will return it.
-      const bool requested = jobs_.cancel(id);
-      JsonWriter w(0);
-      w.begin_object();
-      w.key("job").value(id);
-      w.key("requested").value(requested);
-      w.end_object();
-      return w.str();
-    }
-
-    case ServiceVerb::Jobs: {
-      JsonWriter w(0);
-      w.begin_object();
-      w.key("jobs").begin_array();
-      for (const JobInfo& j : jobs_.jobs()) {
-        w.begin_object();
-        w.key("job").value(j.id);
-        w.key("verb").value(j.label);
-        w.key("state").value(to_string(j.state));
-        w.end_object();
+                           "verb '" +
+                               std::string(to_string(req.subrequest->verb)) +
+                               "' cannot run as a job (only the work verbs " +
+                               work + " are submittable)");
       }
-      w.end_array();
-      w.end_object();
-      return w.str();
-    }
+      return;
   }
-  throw ServiceError("unknown_verb", "unhandled verb");
 }
 
 ServiceResponse ProtestService::handle(const ServiceRequest& request) {
@@ -951,7 +960,9 @@ ServiceResponse ProtestService::handle(const ServiceRequest& request) {
             std::chrono::milliseconds(*request.deadline_ms)));
   }
   try {
-    return ServiceResponse::success(request, dispatch(request));
+    check_request(request);
+    return ServiceResponse::success(
+        request, verb_row(request.verb).handle(*this, request));
   } catch (const OperationCancelled& e) {
     // An expired deadline THIS request declared answers structurally —
     // the caller asked for a budget and gets told it ran out.  Everything
@@ -976,7 +987,11 @@ ServiceResponse ProtestService::handle(const ServiceRequest& request) {
   }
 }
 
-std::string ProtestService::handle_line(std::string_view line) {
+std::string ProtestService::respond(const ServiceRequest& request) {
+  return handle(request).to_json(0);
+}
+
+std::string ServiceEndpoint::handle_line(std::string_view line) {
   std::uint64_t id = 0;
   std::string verb;
   try {
@@ -998,9 +1013,9 @@ std::string ProtestService::handle_line(std::string_view line) {
         }
       }
     }
-    return handle(ServiceRequest::from_json_value(doc)).to_json(0);
+    return respond(ServiceRequest::from_json_value(doc));
   } catch (const OperationCancelled&) {
-    throw;  // see handle()
+    throw;  // see ProtestService::handle()
   } catch (const ServiceError& e) {
     return ServiceResponse::failure(id, verb, e.code(), e.what()).to_json(0);
   } catch (const std::exception& e) {
@@ -1013,33 +1028,9 @@ std::string ProtestService::handle_line(std::string_view line) {
 
 namespace {
 
-/// Verb classes of pipelined dispatch (see ServeOptions): work verbs fan
-/// out, control verbs answer inline in request order, registry-mutating
-/// verbs barrier.  Classification parses the line once more — noise next
-/// to a work verb's evaluation, and the other classes are cheap anyway.
-enum class LineClass { Work, Inline, Barrier };
-
-LineClass classify_line(std::string_view line) {
-  try {
-    const JsonValue doc = parse_json(line);
-    if (doc.is_object())
-      if (const JsonValue* v = doc.find("verb"); v && v->is_string()) {
-        const std::string& name = v->as_string();
-        if (name == "analyze" || name == "perturb" || name == "optimize" ||
-            name == "lint" || name == "fault_bounds")
-          return LineClass::Work;
-        if (name == "load_netlist" || name == "evict" || name == "shutdown")
-          return LineClass::Barrier;
-      }
-  } catch (const std::exception&) {
-    // Malformed lines answer inline with their structured error.
-  }
-  return LineClass::Inline;
-}
-
-/// Best-effort verb extraction for the fault-injection hook (injection
-/// rules trigger on the verb BEFORE dispatch, so a crash-at-verb fault
-/// kills the worker with the request genuinely in flight).
+/// Best-effort verb name of a request line ("" when it has none).  The
+/// fault hook and pipelined dispatch share this one parse per line;
+/// malformed lines answer inline with their structured error.
 std::string peek_verb(std::string_view line) {
   try {
     const JsonValue doc = parse_json(line);
@@ -1057,16 +1048,15 @@ std::string peek_verb(std::string_view line) {
 /// stall sleeps the calling (reader) thread, so heartbeats stop being
 /// answered and the supervisor sees a wedged worker, then falls through
 /// to normal dispatch.
-bool apply_fault(FaultInjector* injector, std::string_view line,
+bool apply_fault(FaultInjector& injector, const std::string& verb,
                  const std::function<bool(const std::string&)>& emit) {
-  if (!injector || !injector->armed()) return false;
   FaultAction action;
-  if (!injector->should_fire(peek_verb(line), &action)) return false;
+  if (!injector.should_fire(verb, &action)) return false;
   switch (action) {
     case FaultAction::Crash:
       std::_Exit(9);  // a hard crash: no unwinding, no flushing
     case FaultAction::Stall:
-      std::this_thread::sleep_for(injector->stall_duration());
+      std::this_thread::sleep_for(injector.stall_duration());
       return false;
     case FaultAction::Garbage:
       emit(FaultInjector::garbage_line());
@@ -1101,11 +1091,12 @@ class LineDispatcher {
     for (std::thread& t : threads_) t.join();
   }
 
-  /// Routes one trimmed, non-blank request line.  Returns false once the
-  /// sink has failed.
-  bool dispatch(std::string line) {
-    switch (classify_line(line)) {
-      case LineClass::Work: {
+  /// Routes one trimmed, non-blank request line by its verb's row (an
+  /// unknown verb answers inline).  Returns false once the sink has failed.
+  bool dispatch(std::string line, std::string_view verb) {
+    const VerbRow* row = find_verb(verb);
+    switch (row ? row->line_class : VerbClass::Inline) {
+      case VerbClass::Work: {
         std::unique_lock<std::mutex> lock(mu_);
         if (threads_.empty()) {
           threads_.reserve(slots_);
@@ -1122,12 +1113,12 @@ class LineDispatcher {
         work_cv_.notify_one();
         return true;
       }
-      case LineClass::Barrier:
+      case VerbClass::Barrier:
         // In-flight work completes first, so "load then query" scripts
         // and evict-after-analyze mean the same thing as in serial mode.
         drain();
         return respond(service_.handle_line(line));
-      case LineClass::Inline:
+      case VerbClass::Inline:
         return respond(service_.handle_line(line));
     }
     return true;
@@ -1207,6 +1198,23 @@ class LineDispatcher {
   const CancelToken conn_token_ = CancelToken::source();
 };
 
+/// Serves one raw request line: CR-trimmed, skipped when blank, offered
+/// to the fault hook, then dispatched — pipelined when `dispatcher` is
+/// set, else answered in order through `emit`.  The verb is parsed only
+/// when the hook or the dispatcher needs it.  Returns false once the
+/// output has failed.
+bool serve_line(ServiceEndpoint& service, LineDispatcher* dispatcher,
+                FaultInjector* injector, std::string_view line,
+                const std::function<bool(const std::string&)>& emit) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  if (line.find_first_not_of(" \t") == std::string_view::npos) return true;
+  const bool armed = injector && injector->armed();
+  const std::string verb = armed || dispatcher ? peek_verb(line) : "";
+  if (armed && apply_fault(*injector, verb, emit)) return true;
+  if (dispatcher) return dispatcher->dispatch(std::string(line), verb);
+  return emit(service.handle_line(line));
+}
+
 }  // namespace
 
 /// A client that closes its read end must surface as a failed stream
@@ -1217,33 +1225,24 @@ void ignore_sigpipe();
 int serve_ndjson(ServiceEndpoint& service, std::istream& in, std::ostream& out,
                  ServeOptions options) {
   ignore_sigpipe();
-  const auto emit = [&out](const std::string& response) {
-    out << response << "\n" << std::flush;
-    return static_cast<bool>(out);
-  };
-  if (options.max_inflight == 0) {
-    // Serial mode: one request at a time, responses in request order.
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.find_first_not_of(" \t") == std::string::npos) continue;
-      if (apply_fault(options.injector, line, emit)) continue;
-      if (!emit(service.handle_line(line))) break;  // downstream closed
-      if (service.shutdown_requested()) break;
-    }
-    return 0;
-  }
-
-  LineDispatcher dispatcher(service, options.max_inflight, emit);
+  const std::function<bool(const std::string&)> emit =
+      [&out](const std::string& response) {
+        out << response << "\n" << std::flush;
+        return static_cast<bool>(out);
+      };
+  // Without a dispatcher: serial mode, one request at a time, responses
+  // in request order.
+  std::optional<LineDispatcher> dispatcher;
+  if (options.max_inflight > 0)
+    dispatcher.emplace(service, options.max_inflight, emit);
   std::string line;
   while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.find_first_not_of(" \t") == std::string::npos) continue;
-    if (apply_fault(options.injector, line, emit)) continue;
-    if (!dispatcher.dispatch(std::move(line))) break;
+    if (!serve_line(service, dispatcher ? &*dispatcher : nullptr,
+                    options.injector, line, emit))
+      break;  // downstream closed
     if (service.shutdown_requested()) break;
   }
-  dispatcher.drain();  // in-flight responses land before we return
+  if (dispatcher) dispatcher->drain();  // in-flight responses land first
   return 0;
 }
 
@@ -1321,12 +1320,13 @@ void serve_connection(ServiceEndpoint& service, int fd,
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_NOSIGPIPE, &one, sizeof one);
 #endif
+  const std::function<bool(const std::string&)> emit =
+      [fd](const std::string& response) {
+        return write_all(fd, response + "\n");
+      };
   std::optional<LineDispatcher> dispatcher;
   if (options.max_inflight > 0)
-    dispatcher.emplace(service, options.max_inflight,
-                       [fd](const std::string& response) {
-                         return write_all(fd, response + "\n");
-                       });
+    dispatcher.emplace(service, options.max_inflight, emit);
   bool client_lost = false;
   std::string pending;
   char buf[4096];
@@ -1345,15 +1345,12 @@ void serve_connection(ServiceEndpoint& service, int fd,
     for (std::size_t nl;
          io_ok && (nl = pending.find('\n', start)) != std::string::npos;
          start = nl + 1) {
-      std::string_view line(pending.data() + start, nl - start);
-      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-      if (line.find_first_not_of(" \t") == std::string_view::npos) continue;
-      if (dispatcher) {
-        io_ok = dispatcher->dispatch(std::string(line));
-      } else {
-        const std::string response = service.handle_line(line) + "\n";
-        io_ok = write_all(fd, response);
-      }
+      // No fault hook here: an injector is consulted from one reader
+      // thread, and connections each read on their own.
+      io_ok = serve_line(service, dispatcher ? &*dispatcher : nullptr,
+                         /*injector=*/nullptr,
+                         std::string_view(pending.data() + start, nl - start),
+                         emit);
       if (service.shutdown_requested()) break;
     }
     pending.erase(0, start);

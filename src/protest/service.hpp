@@ -53,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -275,6 +276,62 @@ struct ServiceResponse {
   static ServiceResponse from_json(std::string_view text);
 };
 
+// --- the verb table ---------------------------------------------------------
+
+class ProtestService;
+
+/// How a pipelined connection treats a verb's line (see ServeOptions).
+enum class VerbClass : std::uint8_t {
+  Work,     ///< fans out across the in-flight slots; the submittable set
+  Inline,   ///< answers on the reading thread, in request order
+  Barrier,  ///< in-flight work drains first, then it answers inline
+};
+
+/// What a request must carry before its verb's handler runs.
+enum class VerbNeeds : std::uint8_t {
+  Nothing,
+  Netlist,  ///< a non-empty `netlist` name
+  Job,      ///< a `job` ticket id
+  Work,     ///< a wrapped `request` whose verb is work-class
+};
+
+/// Where the supervisor (protest/supervisor.hpp) sends a verb.
+enum class VerbRoute : std::uint8_t {
+  Home,      ///< the netlist's home worker (worker_for_netlist)
+  Load,      ///< the home worker, then kept for replay after a restart
+  Submit,    ///< the wrapped request's home worker; answers a global ticket
+  Job,       ///< the ticket's worker, in the generation it ran in
+  Wait,      ///< a supervisor-side poll loop on the ticket
+  Jobs,      ///< every live worker, merged under the global tickets
+  Stats,     ///< unnamed: the fleet overview; named: the home worker
+  Shutdown,  ///< drain, stop and reap the fleet
+};
+
+/// One verb: everything the service, the pipelined front end and the
+/// supervisor know about it.
+struct VerbRow {
+  ServiceVerb verb;
+  std::string_view name;
+  VerbClass line_class;
+  VerbNeeds needs;
+  bool retried;  ///< re-forwarded once when its worker dies mid-request
+  VerbRoute route;
+  /// The result payload; runs after check_request() passed.
+  std::string (*handle)(ProtestService&, const ServiceRequest&);
+};
+
+/// The verb table: one row per ServiceVerb, in enum order.
+std::span<const VerbRow> verb_table();
+const VerbRow& verb_row(ServiceVerb verb);
+
+/// Throws ServiceError("bad_request") naming the verb when `request`
+/// lacks what its row needs.  Both back ends check it before acting.
+void check_request(const ServiceRequest& request);
+
+/// Strictly integral, non-negative protocol number (exact up to 2^53);
+/// throws std::runtime_error otherwise.
+std::uint64_t to_uint(const JsonValue& v);
+
 // --- the service ------------------------------------------------------------
 
 struct ServiceConfig {
@@ -297,13 +354,20 @@ class ServiceEndpoint {
   virtual ~ServiceEndpoint() = default;
 
   /// One NDJSON request line in, one compact JSON response line out (no
-  /// trailing newline).  Never throws for protocol-level failures; safe
-  /// for concurrent callers.  The one deliberate exception:
-  /// OperationCancelled propagates (see ProtestService::handle_line).
-  virtual std::string handle_line(std::string_view line) = 0;
+  /// trailing newline).  Decodes the line and hands it to respond(); a
+  /// line that does not decode answers a structured error echoing its
+  /// best-effort id and verb (a malformed id echoes 0).  Never throws for
+  /// protocol-level failures; safe for concurrent callers.  The one
+  /// deliberate exception: OperationCancelled propagates, so a cancelled
+  /// job is recorded as cancelled, not as an error response.
+  std::string handle_line(std::string_view line);
 
   /// True once a shutdown request has been handled.
   virtual bool shutdown_requested() const = 0;
+
+ protected:
+  /// One decoded request in, one response line out.
+  virtual std::string respond(const ServiceRequest& request) = 0;
 };
 
 /// Dispatches requests against a SessionRegistry.  One instance per
@@ -325,17 +389,14 @@ class ProtestService : public ServiceEndpoint {
   /// answers `deadline_exceeded` when the budget expires mid-work.
   ServiceResponse handle(const ServiceRequest& request);
 
-  /// One NDJSON line in, one compact JSON response line out (no trailing
-  /// newline).  Never throws.
-  std::string handle_line(std::string_view line) override;
-
   /// True once a shutdown request has been handled.
   bool shutdown_requested() const override {
     return shutdown_.load(std::memory_order_acquire);
   }
 
  private:
-  std::string dispatch(const ServiceRequest& request);  ///< result payload
+  friend struct VerbHandlers;  ///< the verb table's handlers (service.cpp)
+  std::string respond(const ServiceRequest& request) override;
 
   ServiceConfig config_;
   SessionRegistry registry_;
@@ -354,20 +415,17 @@ struct ServeOptions {
   /// 0 (default): serial dispatch — one request at a time, responses in
   /// request order (the historical behavior).
   ///
-  /// N >= 1: PIPELINED dispatch.  Work verbs (analyze/perturb/optimize)
-  /// fan out across up to N in-flight dispatch slots and their responses
-  /// return OUT OF ORDER, correlated by `id`; reading stalls while all N
-  /// slots are busy — connection-level backpressure, so a client that
-  /// floods requests is throttled by its own unfinished work.  Response
-  /// BYTES are identical to serial mode; only the order changes.  Two
-  /// verb classes keep deterministic ordering: job-control verbs
-  /// (submit/poll/wait/cancel/jobs) and stats run inline on the reading
-  /// thread in request order (they are cheap; a `wait` deliberately
-  /// blocks the stream — pipelining clients should poll), and registry-
-  /// mutating verbs (load_netlist/evict/shutdown) BARRIER: in-flight work
-  /// drains first, then they run inline.  That makes scripted
-  /// conversations (load, then queries) mean the same thing pipelined as
-  /// serial.
+  /// N >= 1: PIPELINED dispatch, by each verb's VerbClass row.  Work
+  /// verbs fan out across up to N in-flight dispatch slots and their
+  /// responses return OUT OF ORDER, correlated by `id`; reading stalls
+  /// while all N slots are busy — connection-level backpressure, so a
+  /// client that floods requests is throttled by its own unfinished work.
+  /// Response BYTES are identical to serial mode; only the order changes.
+  /// Inline verbs run on the reading thread in request order (they are
+  /// cheap; a `wait` deliberately blocks the stream — pipelining clients
+  /// should poll), and Barrier verbs first drain in-flight work, then run
+  /// inline.  That makes scripted conversations (load, then queries) mean
+  /// the same thing pipelined as serial.
   std::size_t max_inflight = 0;
 
   /// Deterministic fault injection (util/fault_inject.hpp), consulted

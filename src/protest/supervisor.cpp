@@ -57,7 +57,6 @@ unsigned worker_for_netlist(std::string_view name, unsigned workers) {
 
 #include <atomic>
 #include <cerrno>
-#include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
@@ -69,15 +68,6 @@ extern char** environ;
 
 namespace protest {
 namespace {
-
-/// Strict non-negative integral conversion — the same guard the service
-/// protocol applies to request ids.
-std::uint64_t guarded_uint(const JsonValue& v) {
-  const double d = v.as_number();
-  if (!(d >= 0.0) || d != std::floor(d) || d > 9007199254740992.0)
-    throw std::runtime_error("expected a non-negative integer");
-  return static_cast<std::uint64_t>(d);
-}
 
 /// Parses the canonical response head `{"id":<digits>,` every worker
 /// response carries (our own JsonWriter emits id first, compactly).
@@ -105,18 +95,18 @@ bool parse_response_id(std::string_view line, std::uint64_t* id) {
 /// which is what preserves the service's byte-identity guarantees across
 /// the router.
 std::string rewrite_response_head(const std::string& line, std::uint64_t id,
-                                  const char* new_verb = nullptr) {
+                                  std::string_view new_verb = {}) {
   const std::size_t comma = line.find(',');
   if (comma == std::string::npos) return line;
   std::string out = "{\"id\":" + std::to_string(id) + line.substr(comma);
-  if (new_verb) {
+  if (!new_verb.empty()) {
     constexpr std::string_view kVerbKey = "\"verb\":\"";
     const std::size_t key = out.find(kVerbKey);
     if (key != std::string::npos) {
       const std::size_t open = key + kVerbKey.size();
       const std::size_t close = out.find('"', open);
       if (close != std::string::npos)
-        out = out.substr(0, open) + new_verb + out.substr(close);
+        out.replace(open, close - open, new_verb);
     }
   }
   return out;
@@ -153,23 +143,13 @@ std::string failure_line(std::uint64_t id, std::string_view verb,
   return ServiceResponse::failure(id, verb, code, message).to_json(0);
 }
 
-/// The poll/wait payload of a job whose worker process died: the ticket
-/// survives the restart as an observable failure, never as an orphan.
-std::string lost_job_response(std::uint64_t id, std::string_view verb,
-                              std::uint64_t job, const std::string& label) {
-  JsonWriter w(0);
-  w.begin_object();
-  w.key("job").value(job);
-  w.key("verb").value(label);
-  w.key("state").value("failed");
-  w.key("error").value(
-      "worker_lost: the worker process running this job died");
-  w.end_object();
+std::string ok_line(std::uint64_t id, std::string_view verb,
+                    std::string payload) {
   ServiceResponse resp;
   resp.id = id;
   resp.verb = std::string(verb);
   resp.ok = true;
-  resp.result_json = w.str();
+  resp.result_json = std::move(payload);
   return resp.to_json(0);
 }
 
@@ -763,7 +743,7 @@ struct Supervisor::Impl {
 
   /// Relay bookkeeping shared by every Ok forward.
   std::string relay(const ForwardResult& r, std::uint64_t client_id,
-                    const char* new_verb = nullptr) {
+                    std::string_view new_verb = {}) {
     if (r.line.find("\"code\":\"deadline_exceeded\"") != std::string::npos) {
       const std::lock_guard<std::mutex> lock(mu);
       ++counters.timeouts;
@@ -773,67 +753,48 @@ struct Supervisor::Impl {
 
   // --- verb routing ---------------------------------------------------------
 
+  /// Routes by the verb's row.  Requests that lack what their row needs
+  /// are answered here, with the bytes a worker would send.
   std::string route(const ServiceRequest& req) {
-    const std::string_view verb = to_string(req.verb);
-    switch (req.verb) {
-      case ServiceVerb::Stats:
+    check_request(req);
+    const VerbRow& row = verb_row(req.verb);
+    switch (row.route) {
+      case VerbRoute::Stats:
         if (req.netlist.empty()) return local_stats(req);
         [[fallthrough]];
-      case ServiceVerb::Analyze:
-      case ServiceVerb::Perturb:
-      case ServiceVerb::Lint:
-      case ServiceVerb::FaultBounds:
-        return route_netlist(req, /*retryable=*/true);
-      case ServiceVerb::Optimize:
-      case ServiceVerb::Evict:
-        // Not idempotent (optimize is stochastic and expensive; evict
-        // mutates residency): a worker loss answers worker_lost.
-        return route_netlist(req, /*retryable=*/false);
-      case ServiceVerb::LoadNetlist:
-        return route_load(req);
-      case ServiceVerb::Submit:
+      case VerbRoute::Home:
+      case VerbRoute::Load:
+        return route_home(req, row);
+      case VerbRoute::Submit:
         return route_submit(req);
-      case ServiceVerb::Poll:
-      case ServiceVerb::Cancel:
-        return route_job(req);
-      case ServiceVerb::Wait:
+      case VerbRoute::Job:
+        return route_job(req, row.name, backstop_of(req));
+      case VerbRoute::Wait:
         return route_wait(req);
-      case ServiceVerb::Jobs:
+      case VerbRoute::Jobs:
         return route_jobs(req);
-      case ServiceVerb::Shutdown:
+      case VerbRoute::Shutdown:
         return route_shutdown(req);
     }
-    return failure_line(req.id, verb, "unknown_verb", "unhandled verb");
+    return failure_line(req.id, row.name, "unknown_verb", "unhandled verb");
   }
 
-  std::string route_netlist(const ServiceRequest& req, bool retryable) {
+  /// The netlist's home worker.  A successful load is kept in the
+  /// placement table, which restarts replay.
+  std::string route_home(const ServiceRequest& req, const VerbRow& row) {
     const unsigned widx = worker_for_netlist(req.netlist, opts.workers);
-    const ForwardResult r =
-        forward(widx, req, retryable, backstop_of(req));
+    const ForwardResult r = forward(widx, req, row.retried, backstop_of(req));
     if (r.kind != ForwardResult::Kind::Ok)
-      return forward_error(r, req.id, to_string(req.verb), req);
-    return relay(r, req.id);
-  }
-
-  std::string route_load(const ServiceRequest& req) {
-    const unsigned widx = worker_for_netlist(req.netlist, opts.workers);
-    const ForwardResult r =
-        forward(widx, req, /*retryable=*/false, backstop_of(req));
-    if (r.kind != ForwardResult::Kind::Ok)
-      return forward_error(r, req.id, to_string(req.verb), req);
-    if (r.line.find("\"ok\":true") != std::string::npos &&
-        !req.netlist.empty()) {
+      return forward_error(r, req.id, row.name, req);
+    if (row.route == VerbRoute::Load &&
+        r.line.find("\"ok\":true") != std::string::npos) {
       const std::lock_guard<std::mutex> lock(mu);
-      placement[req.netlist] = req;  // replayed into restarted workers
+      placement[req.netlist] = req;
     }
     return relay(r, req.id);
   }
 
   std::string route_submit(const ServiceRequest& req) {
-    if (!req.subrequest)
-      return failure_line(req.id, "submit", "bad_request",
-                          "submit requires a 'request' object (the verb to "
-                          "run as a job)");
     const unsigned widx =
         worker_for_netlist(req.subrequest->netlist, opts.workers);
     const ForwardResult r =
@@ -846,7 +807,7 @@ struct Supervisor::Impl {
     try {
       const JsonValue doc = parse_json(r.line);
       ok = doc.at("ok").as_bool();
-      if (ok) local = guarded_uint(doc.at("result").at("job"));
+      if (ok) local = to_uint(doc.at("result").at("job"));
     } catch (const std::exception&) {
       ok = false;
     }
@@ -862,57 +823,56 @@ struct Supervisor::Impl {
                                 global);
   }
 
-  std::string route_job(const ServiceRequest& req) {
-    const std::string_view verb = to_string(req.verb);
-    if (!req.job)
-      return failure_line(req.id, verb, "bad_request",
-                          "verb '" + std::string(verb) +
-                              "' requires a 'job' ticket id");
+  /// Forwards a poll/cancel to the ticket's worker under its local id.
+  /// `verb` is the echoed verb (wait is served as a poll loop below).
+  std::string route_job(const ServiceRequest& req, std::string_view verb,
+                        const std::optional<Clock::time_point>& backstop) {
+    const std::uint64_t job = req.job.value_or(0);  // check_request: set
     JobEntry entry;
     bool lost = false;
     {
       const std::lock_guard<std::mutex> lock(mu);
-      const auto it = job_map.find(*req.job);
+      const auto it = job_map.find(job);
       if (it == job_map.end())
         return failure_line(req.id, verb, "unknown_job",
-                            "no job with ticket id " +
-                                std::to_string(*req.job));
+                            "no job with ticket id " + std::to_string(job));
       entry = it->second;
       const Worker& w = *workers[entry.worker];
       lost = w.state != Worker::State::Up || w.generation != entry.generation;
     }
-    if (lost) return lost_response(req, verb, entry);
     ServiceRequest fwd = req;
     fwd.job = entry.local;
-    const ForwardResult r = forward(entry.worker, fwd, /*retryable=*/false,
-                                    backstop_of(req), entry.generation);
+    const ForwardResult r =
+        lost ? ForwardResult{}
+             : forward(entry.worker, fwd, /*retryable=*/false, backstop,
+                       entry.generation);
     if (r.kind == ForwardResult::Kind::Lost ||
         r.kind == ForwardResult::Kind::Unavailable)
-      return lost_response(req, verb, entry);
+      return lost_response(req, verb, job, entry.label);
     if (r.kind != ForwardResult::Kind::Ok)
       return forward_error(r, req.id, verb, req);
-    return rewrite_number_after(relay(r, req.id), "\"result\":{\"job\":",
-                                *req.job);
+    return rewrite_number_after(relay(r, req.id, verb),
+                                "\"result\":{\"job\":", job);
   }
 
-  /// The ticket's process died: poll/wait answer the job as failed with
-  /// a worker_lost error; cancel reports nothing left to cancel.
+  /// The ticket's process died: the job survives the restart as an
+  /// observable failure, never as an orphan — poll/wait answer it failed
+  /// with a worker_lost error; cancel reports nothing left to cancel.
   std::string lost_response(const ServiceRequest& req, std::string_view verb,
-                            const JobEntry& entry) {
+                            std::uint64_t job, const std::string& label) {
+    JsonWriter w(0);
+    w.begin_object();
+    w.key("job").value(job);
     if (req.verb == ServiceVerb::Cancel) {
-      JsonWriter w(0);
-      w.begin_object();
-      w.key("job").value(*req.job);
       w.key("requested").value(false);
-      w.end_object();
-      ServiceResponse resp;
-      resp.id = req.id;
-      resp.verb = std::string(verb);
-      resp.ok = true;
-      resp.result_json = w.str();
-      return resp.to_json(0);
+    } else {
+      w.key("verb").value(label);
+      w.key("state").value("failed");
+      w.key("error").value(
+          "worker_lost: the worker process running this job died");
     }
-    return lost_job_response(req.id, verb, *req.job, entry.label);
+    w.end_object();
+    return ok_line(req.id, verb, w.str());
   }
 
   /// `wait` never forwards as wait: the worker would block its inline
@@ -920,51 +880,20 @@ struct Supervisor::Impl {
   /// supervisor polls instead, so a long wait costs the worker nothing
   /// and wedge detection keeps working throughout.
   std::string route_wait(const ServiceRequest& req) {
-    if (!req.job)
-      return failure_line(req.id, "wait", "bad_request",
-                          "verb 'wait' requires a 'job' ticket id");
     const auto started = Clock::now();
     const auto backstop = backstop_of(req);
-    const bool bounded = req.timeout_ms.has_value();
-    const std::chrono::milliseconds budget{
-        bounded ? static_cast<std::int64_t>(*req.timeout_ms) : 0};
     ServiceRequest poll = req;
     poll.verb = ServiceVerb::Poll;
     poll.timeout_ms.reset();
     for (;;) {
-      JobEntry entry;
-      bool lost = false;
-      {
-        const std::lock_guard<std::mutex> lock(mu);
-        const auto it = job_map.find(*req.job);
-        if (it == job_map.end())
-          return failure_line(req.id, "wait", "unknown_job",
-                              "no job with ticket id " +
-                                  std::to_string(*req.job));
-        entry = it->second;
-        const Worker& w = *workers[entry.worker];
-        lost =
-            w.state != Worker::State::Up || w.generation != entry.generation;
-      }
-      if (lost) return lost_job_response(req.id, "wait", *req.job, entry.label);
-      ServiceRequest fwd = poll;
-      fwd.job = entry.local;
-      const ForwardResult r = forward(entry.worker, fwd, /*retryable=*/false,
-                                      backstop, entry.generation);
-      if (r.kind == ForwardResult::Kind::Lost ||
-          r.kind == ForwardResult::Kind::Unavailable)
-        return lost_job_response(req.id, "wait", *req.job, entry.label);
-      if (r.kind != ForwardResult::Kind::Ok)
-        return forward_error(r, req.id, "wait", req);
-      const std::string state = job_state_of(r.line);
-      const bool terminal =
-          state == "done" || state == "failed" || state == "cancelled";
+      std::string line = route_job(poll, "wait", backstop);
+      // Errors carry no state; every state but these two is terminal.
+      const std::string state = job_state_of(line);
       const bool out_of_time =
-          bounded && (Clock::now() - started) >= budget;
-      if (terminal || out_of_time || state.empty()) {
-        return rewrite_number_after(relay(r, req.id, "wait"),
-                                    "\"result\":{\"job\":", *req.job);
-      }
+          req.timeout_ms && Clock::now() - started >=
+                                std::chrono::milliseconds(*req.timeout_ms);
+      if ((state != "queued" && state != "running") || out_of_time)
+        return line;
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
   }
@@ -999,7 +928,7 @@ struct Supervisor::Impl {
         const JsonValue doc = parse_json(r.line);
         for (const JsonValue& j :
              doc.at("result").at("jobs").as_array()) {
-          reported[{widx, gen}][guarded_uint(j.at("job"))] =
+          reported[{widx, gen}][to_uint(j.at("job"))] =
               j.at("state").as_string();
         }
       } catch (const std::exception&) {
@@ -1040,12 +969,7 @@ struct Supervisor::Impl {
     }
     w.end_array();
     w.end_object();
-    ServiceResponse resp;
-    resp.id = req.id;
-    resp.verb = "jobs";
-    resp.ok = true;
-    resp.result_json = w.str();
-    return resp.to_json(0);
+    return ok_line(req.id, "jobs", w.str());
   }
 
   std::string local_stats(const ServiceRequest& req) {
@@ -1087,12 +1011,7 @@ struct Supervisor::Impl {
     w.key("max_restarts").value(static_cast<std::uint64_t>(opts.max_restarts));
     w.end_object();
     w.end_object();
-    ServiceResponse resp;
-    resp.id = req.id;
-    resp.verb = "stats";
-    resp.ok = true;
-    resp.result_json = w.str();
-    return resp.to_json(0);
+    return ok_line(req.id, "stats", w.str());
   }
 
   /// Drain, then stop every worker, then reap: outstanding requests get
@@ -1104,7 +1023,7 @@ struct Supervisor::Impl {
     {
       std::unique_lock<std::mutex> lock(mu);
       if (shutdown.load())  // idempotent: a second shutdown just echoes
-        return simple_ok(req.id, "shutdown", "{\"shutting_down\":true}");
+        return ok_line(req.id, "shutdown", "{\"shutting_down\":true}");
       draining = true;
       const auto count_pending = [this] {
         std::size_t n = 0;
@@ -1174,17 +1093,7 @@ struct Supervisor::Impl {
       cv.notify_all();
       monitor_cv.notify_all();
     }
-    return simple_ok(req.id, "shutdown", "{\"shutting_down\":true}");
-  }
-
-  static std::string simple_ok(std::uint64_t id, std::string_view verb,
-                               std::string payload) {
-    ServiceResponse resp;
-    resp.id = id;
-    resp.verb = std::string(verb);
-    resp.ok = true;
-    resp.result_json = std::move(payload);
-    return resp.to_json(0);
+    return ok_line(req.id, "shutdown", "{\"shutting_down\":true}");
   }
 };
 
@@ -1204,30 +1113,8 @@ SupervisorCounters Supervisor::counters() const {
 
 const SupervisorOptions& Supervisor::options() const { return impl_->opts; }
 
-std::string Supervisor::handle_line(std::string_view line) {
-  // Mirrors ProtestService::handle_line: best-effort verb/id extraction
-  // so even undecodable requests get a correlatable structured error.
-  std::uint64_t id = 0;
-  std::string verb;
-  try {
-    const JsonValue doc = parse_json(line);
-    if (doc.is_object()) {
-      if (const JsonValue* v = doc.find("verb"); v && v->is_string())
-        verb = v->as_string();
-      if (const JsonValue* v = doc.find("id"); v && v->is_number()) {
-        try {
-          id = guarded_uint(*v);
-        } catch (const std::exception&) {
-          id = 0;
-        }
-      }
-    }
-    return impl_->route(ServiceRequest::from_json_value(doc));
-  } catch (const ServiceError& e) {
-    return failure_line(id, verb, e.code(), e.what());
-  } catch (const std::exception& e) {
-    return failure_line(id, verb, "bad_request", e.what());
-  }
+std::string Supervisor::respond(const ServiceRequest& request) {
+  return impl_->route(request);
 }
 
 bool supervisor_supported() { return true; }
@@ -1248,7 +1135,7 @@ Supervisor::Supervisor(SupervisorOptions, std::ostream&) {
 
 Supervisor::~Supervisor() = default;
 
-std::string Supervisor::handle_line(std::string_view) { return ""; }
+std::string Supervisor::respond(const ServiceRequest&) { return ""; }
 
 bool Supervisor::shutdown_requested() const { return true; }
 

@@ -7,9 +7,10 @@
 // a pipe pair.  The wire format is already request/response with client
 // ids, so the router is a correlating multiplexer: it rewrites client
 // ids to internal ids on the way in, demultiplexes worker stdout by id
-// on the way out, and rewrites back.  Netlists are PLACED: a registry
-// name hashes to one worker (worker_for_netlist, a pure rendezvous
-// hash), and every verb that names a netlist routes to its home worker —
+// on the way out, and rewrites back.  Each verb is routed by its row's
+// VerbRoute.  Netlists are PLACED: a registry name hashes to one worker
+// (worker_for_netlist, a pure rendezvous hash), and every verb that
+// names a netlist routes to its home worker —
 // sessions never split across processes, so cache locality and the
 // byte-identity guarantees of the single-process service carry over
 // verb by verb.
@@ -17,11 +18,11 @@
 // Failure is a first-class input:
 //
 //  - CRASH: a worker that dies (EOF on its stdout) fails every request
-//    in flight on it.  Idempotent read verbs (analyze / perturb / lint /
-//    stats) are RETRIED once on the restarted worker — restart replays
-//    the placement table's load_netlist requests first, so the retry
-//    lands on a worker that knows the netlist.  Non-idempotent verbs
-//    (optimize, load_netlist, submit, job control) answer a structured
+//    in flight on it.  Verbs whose row in the verb table (service.hpp)
+//    is marked `retried` — the idempotent reads — are RETRIED once on
+//    the restarted worker; restart replays the placement table's
+//    load_netlist requests first, so the retry lands on a worker that
+//    knows the netlist.  Every other verb answers a structured
 //    `worker_lost` error immediately: never a hang, never a dropped
 //    connection.
 //  - RESTART: crashed workers respawn with capped exponential backoff
@@ -135,13 +136,14 @@ class Supervisor : public ServiceEndpoint {
   Supervisor(SupervisorOptions options, std::ostream& log);
   ~Supervisor() override;
 
-  std::string handle_line(std::string_view line) override;
   bool shutdown_requested() const override;
 
   SupervisorCounters counters() const;
   const SupervisorOptions& options() const;
 
  private:
+  std::string respond(const ServiceRequest& request) override;
+
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

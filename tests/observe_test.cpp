@@ -1,5 +1,5 @@
-// Observability s(x), detection probabilities, miter transform and the
-// single-path option (sect. 3).
+// Observability s(x), detection probabilities and the miter transform
+// (sect. 3).
 #include <gtest/gtest.h>
 
 #include "circuits/iscas.hpp"
@@ -7,7 +7,6 @@
 #include "netlist/builder.hpp"
 #include "observe/detect.hpp"
 #include "observe/miter.hpp"
-#include "observe/single_path.hpp"
 #include "prob/exact.hpp"
 #include "prob/naive.hpp"
 #include "prob/protest_estimator.hpp"
@@ -180,35 +179,6 @@ TEST(Miter, UnobservableFaultGetsConstMiter) {
   const Fault f{net.find("dead"), -1, StuckAt::One};
   const double ip[] = {0.5};
   EXPECT_DOUBLE_EQ(exact_detection_prob_bdd(net, f, ip), 0.0);
-}
-
-TEST(SinglePath, LowerBoundsExactDetection) {
-  // The best single path is one way to detect: its probability can not
-  // exceed the exact detection probability on circuits where the paper's
-  // side-input independence holds exactly (tree circuits).
-  NetlistBuilder bld;
-  const NodeId a = bld.input("a");
-  const NodeId b = bld.input("b");
-  const NodeId c = bld.input("c");
-  bld.output(bld.or2(bld.and2(a, b), c));
-  const Netlist net = bld.build();
-  const auto faults = structural_fault_list(net);
-  const auto p = naive_signal_probs(net, uniform_input_probs(net));
-  const auto sp = single_path_detection_probs(net, faults, p);
-  const auto ref = psim_exhaustive(net, faults);
-  for (std::size_t i = 0; i < faults.size(); ++i)
-    EXPECT_LE(sp[i], ref[i] + 1e-12) << to_string(net, faults[i]);
-}
-
-TEST(SinglePath, ObservabilityWithinUnit) {
-  const Netlist net = make_c17();
-  const auto p = naive_signal_probs(net, uniform_input_probs(net));
-  const auto sp = single_path_observability(net, p);
-  for (NodeId n = 0; n < net.size(); ++n) {
-    EXPECT_GE(sp[n], 0.0);
-    EXPECT_LE(sp[n], 1.0);
-  }
-  for (NodeId o : net.outputs()) EXPECT_DOUBLE_EQ(sp[o], 1.0);
 }
 
 }  // namespace

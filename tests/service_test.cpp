@@ -8,7 +8,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -766,7 +770,8 @@ TEST(AsyncVerbs, JobControlErrorsAreStructured) {
       // missing members
       {"{\"verb\":\"poll\",\"id\":4}", "bad_request"},
       {"{\"verb\":\"submit\",\"id\":5}", "bad_request"},
-      // only the work verbs analyze/perturb/optimize are submittable
+      // only work-class verbs are submittable (VerbTable below walks
+      // every verb)
       {"{\"verb\":\"submit\",\"id\":6,\"request\":{\"verb\":\"shutdown\"}}",
        "bad_request"},
       {"{\"verb\":\"submit\",\"id\":7,\"request\":{\"verb\":\"submit\"}}",
@@ -791,6 +796,109 @@ TEST(AsyncVerbs, JobControlErrorsAreStructured) {
     EXPECT_FALSE(resp.ok) << c.line;
     EXPECT_EQ(resp.error_code, c.code) << c.line << " -> "
                                        << service.handle_line(c.line);
+  }
+}
+
+// --- the verb table ---------------------------------------------------------
+
+TEST(VerbTable, EveryVerbMeetsItsRow) {
+  // The work class is pinned by name here, independently of the table:
+  // it is both the pipelined fan-out set and the submittable set.
+  const std::vector<std::string> work = {"lint", "fault_bounds", "analyze",
+                                         "perturb", "optimize"};
+  ProtestService service;
+  ASSERT_EQ(verb_table().size(),
+            static_cast<std::size_t>(ServiceVerb::Jobs) + 1);
+  std::uint64_t id = 0;
+  for (const VerbRow& row : verb_table()) {
+    const std::string name(row.name);
+    SCOPED_TRACE(name);
+    EXPECT_EQ(&verb_row(row.verb), &row);
+    EXPECT_EQ(to_string(row.verb), row.name);
+    EXPECT_EQ(verb_from_string(row.name), row.verb);
+    const bool is_work =
+        std::find(work.begin(), work.end(), name) != work.end();
+    EXPECT_EQ(row.line_class == VerbClass::Work, is_work);
+
+    // submit accepts exactly the work class.  An accepted job runs
+    // against a netlist that does not exist and fails inside its ticket.
+    ServiceRequest submit;
+    submit.verb = ServiceVerb::Submit;
+    submit.id = ++id;
+    submit.subrequest = std::make_shared<ServiceRequest>();
+    submit.subrequest->verb = row.verb;
+    submit.subrequest->netlist = "ghost";
+    const ServiceResponse submitted =
+        ServiceResponse::from_json(service.handle_line(submit.to_json(0)));
+    EXPECT_EQ(submitted.ok, is_work) << submitted.error_message;
+    if (!is_work) {
+      EXPECT_EQ(submitted.error_code, "bad_request");
+      EXPECT_NE(submitted.error_message.find("'" + name + "'"),
+                std::string::npos)
+          << submitted.error_message;
+      for (const std::string& w : work)
+        EXPECT_NE(submitted.error_message.find(w), std::string::npos)
+            << submitted.error_message;
+    }
+
+    // A verb that needs a netlist or a job, sent without it, answers
+    // bad_request naming the verb — on the typed and the wire path.
+    if (row.needs != VerbNeeds::Netlist && row.needs != VerbNeeds::Job)
+      continue;
+    ServiceRequest bare;
+    bare.verb = row.verb;
+    bare.id = ++id;
+    const ServiceResponse typed = service.handle(bare);
+    const ServiceResponse wire =
+        ServiceResponse::from_json(service.handle_line(bare.to_json(0)));
+    EXPECT_EQ(typed.to_json(0), wire.to_json(0));
+    EXPECT_FALSE(typed.ok);
+    EXPECT_EQ(typed.id, id);
+    EXPECT_EQ(typed.verb, name);
+    EXPECT_EQ(typed.error_code, "bad_request");
+    EXPECT_NE(typed.error_message.find("'" + name + "'"), std::string::npos)
+        << typed.error_message;
+  }
+  EXPECT_FALSE(service.shutdown_requested());
+}
+
+TEST(VerbTable, ReadmeTableMatchesTheRows) {
+  const char* data = std::getenv("PROTEST_DATA");
+  if (!data || !*data) GTEST_SKIP() << "PROTEST_DATA not set (run under CTest)";
+  std::ifstream readme(std::string(data) + "/../../README.md");
+  ASSERT_TRUE(readme) << "README.md not found above " << data;
+  // name -> the cells after it, from the rows under "### Verb table".
+  std::map<std::string, std::vector<std::string>> documented;
+  bool in_section = false;
+  for (std::string line; std::getline(readme, line);) {
+    if (line.rfind("### ", 0) == 0) in_section = line == "### Verb table";
+    if (!in_section || line.rfind("| `", 0) != 0) continue;
+    std::vector<std::string> cells;
+    std::istringstream row(line.substr(1));
+    for (std::string cell; std::getline(row, cell, '|');) {
+      cell.erase(0, cell.find_first_not_of(' '));
+      cell.erase(cell.find_last_not_of(' ') + 1);
+      cells.push_back(cell);
+    }
+    const std::string name = cells.front().substr(1, cells.front().size() - 2);
+    cells.erase(cells.begin());
+    documented[name] = cells;
+  }
+  ASSERT_EQ(documented.size(), verb_table().size());
+  const char* kClass[] = {"work", "inline", "barrier"};
+  const char* kNeeds[] = {"—", "netlist", "job", "work request"};
+  for (const VerbRow& row : verb_table()) {
+    const std::string name(row.name);
+    ASSERT_EQ(documented.count(name), 1u) << name;
+    const std::vector<std::string>& cells = documented[name];
+    ASSERT_EQ(cells.size(), 5u) << name;
+    EXPECT_EQ(cells[0], kClass[static_cast<int>(row.line_class)]) << name;
+    EXPECT_EQ(cells[1], row.line_class == VerbClass::Work ? "yes" : "no")
+        << name;
+    EXPECT_EQ(cells[2], row.retried ? "yes" : "no") << name;
+    EXPECT_EQ(cells[3], kNeeds[static_cast<int>(row.needs)]) << name;
+    EXPECT_EQ(cells[4] == "home worker", row.route == VerbRoute::Home)
+        << name;
   }
 }
 

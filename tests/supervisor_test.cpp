@@ -326,6 +326,78 @@ TEST(SupervisorProcess, WorkerCountNeverChangesServedPayloads) {
   }
 }
 
+TEST(SupervisorProcess, NetlistRoutedVerbsLandOnTheHomeWorker) {
+  REQUIRE_SUPERVISOR();
+  // Two names, one homed on each worker.
+  std::string home[2];
+  for (unsigned i = 0; home[0].empty() || home[1].empty(); ++i) {
+    std::string name = "n";
+    name += std::to_string(i);
+    std::string& slot = home[worker_for_netlist(name, 2)];
+    if (slot.empty()) slot = name;
+  }
+  const auto load = [&](const std::string& name, std::uint64_t id) {
+    ServiceRequest req;
+    req.verb = ServiceVerb::LoadNetlist;
+    req.id = id;
+    req.netlist = name;
+    req.circuit = "c17";
+    return req.to_json(0);
+  };
+  // Only worker 1 turns its first load into garbage, so the load of
+  // home[1] must die there and the load of home[0] must not.
+  // Heartbeats are not under test here: a generous timeout keeps a
+  // loaded machine from wedge-killing a worker mid-walk.
+  SupervisorOptions opts = fast_options(2, "w1:garbage@load_netlist");
+  opts.heartbeat_timeout = milliseconds(10'000);
+  std::ostringstream log;
+  Supervisor sup(opts, log);
+  const ServiceResponse first0 = ask(sup, load(home[0], 1));
+  ASSERT_TRUE(first0.ok) << first0.error_message;
+  const ServiceResponse lost1 = ask(sup, load(home[1], 2));
+  EXPECT_FALSE(lost1.ok);
+  EXPECT_EQ(lost1.error_code, "worker_lost");
+  // The restarted worker runs clean.  Each worker now holds exactly its
+  // own name, so a query elsewhere would answer unknown_netlist.
+  const ServiceResponse first1 = ask(sup, load(home[1], 3));
+  ASSERT_TRUE(first1.ok) << first1.error_message;
+  for (const ServiceResponse* r : {&first0, &first1})
+    EXPECT_EQ(parse_json(r->result_json).at("resident").as_array().size(), 1u);
+
+  std::uint64_t id = 10;
+  std::size_t routed = 0;
+  for (const VerbRow& row : verb_table()) {
+    if (row.route != VerbRoute::Home && row.route != VerbRoute::Stats)
+      continue;
+    ++routed;
+    for (const std::string& name : home) {
+      ServiceRequest req;
+      req.verb = row.verb;
+      req.id = ++id;
+      req.netlist = name;
+      req.n_parameter = 10;
+      req.sweeps = 1;
+      const ServiceResponse r = ask(sup, req.to_json(0));
+      ASSERT_TRUE(r.ok) << row.name << " on " << name << ": "
+                        << r.error_message;
+      EXPECT_EQ(r.id, id);
+      if (row.route == VerbRoute::Stats) {  // the worker's named probe
+        EXPECT_NE(r.result_json.find("{\"netlist\":\"" + name +
+                                     "\",\"resident\":true"),
+                  std::string::npos)
+            << r.result_json;
+      }
+      if (row.verb == ServiceVerb::Evict) {
+        EXPECT_NE(r.result_json.find("\"evicted\":true"), std::string::npos)
+            << name;
+      }
+    }
+  }
+  EXPECT_EQ(routed, 7u);  // lint fault_bounds analyze perturb optimize stats evict
+  EXPECT_EQ(sup.counters().restarts, 1u);
+  EXPECT_TRUE(ask(sup, "{\"verb\":\"shutdown\",\"id\":99}").ok);
+}
+
 TEST(SupervisorProcess, CrashedWorkerRestartsAndIdempotentReadRetries) {
   REQUIRE_SUPERVISOR();
   std::ostringstream log;
